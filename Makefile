@@ -26,7 +26,7 @@ SERVE_BENCH = sock
 SHARD_ROWS  = autofs
 SHARD_SCALE = 0.5
 
-.PHONY: all build test race vet fmt staticcheck lint check bench bench-baseline serve-bench shard-bench shard-baseline checker-bench checker-baseline incremental-bench incremental-baseline examples
+.PHONY: all build test race vet fmt staticcheck lint check benchmark-selftest bench bench-baseline serve-bench shard-bench shard-baseline checker-bench checker-baseline incremental-bench incremental-baseline examples
 
 all: check
 
@@ -55,6 +55,13 @@ lint: fmt vet staticcheck
 # check is what CI runs: lint, build, and the full suite under the race
 # detector.
 check: lint build race
+
+# benchmark-selftest runs the repository benchmark's own tests (its own
+# Go module under benchmark/, outside `go test ./...`): every workload
+# on a tiny program, untraced and traced, with each check path fed a
+# deliberately wrong answer. About 50 s; needs no network.
+benchmark-selftest:
+	cd benchmark && $(GO) test ./...
 
 # bench smoke-runs every benchmark once (catching bit-rot without the
 # cost of real measurement), measures the FSCS perf trajectory into

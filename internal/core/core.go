@@ -51,8 +51,10 @@ func (m Mode) String() string { return modeNames[m] }
 
 // Config tunes an analysis run.
 type Config struct {
-	// Mode selects the clustering cascade stage (default ModeAndersen:
-	// the full bootstrap).
+	// Mode selects the clustering cascade stage. The zero value is
+	// ModeNone: no clustering, the whole program solved as one FSCS
+	// cluster. Set ModeAndersen for the full bootstrap cascade
+	// (Steensgaard partitions, Andersen-clustered where oversized).
 	Mode Mode
 	// AndersenThreshold is the partition size above which Andersen
 	// clustering kicks in (paper: 60). Zero selects the default.

@@ -530,13 +530,13 @@ func (e *Engine) tupleList(m tupSet) []SumTuple {
 // slice's classes are isomorphic or the cluster would be dirty), the
 // Andersen fallback (widened answers must match a fresh run on the new
 // program), and the cluster object carrying the new cover's ID. The
-// walk scratch free list is dropped because its per-location buckets are
-// sized to len(prog.Nodes); it re-grows lazily.
+// walk scratch free list is kept: its buckets are indexed by a node's
+// position inside its function, and getScratch grows a scratch to the
+// walked function, so an edit that inserts nodes needs no reset.
 func (e *Engine) Rebind(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *cluster.Cluster, fallback *andersen.Analysis) {
 	e.prog = p
 	e.cg = cg
 	e.sa = sa
 	e.cl = cl
 	e.fallback = fallback
-	e.scratch = nil
 }

@@ -14,7 +14,7 @@ import (
 // or terminated sequences (TAddr / TNull / TUnknown).
 //
 // Conditions travel as interned CondIDs and worklist deduplication is an
-// epoch-stamped per-location bucket reused across walks — no string keys
+// epoch-stamped bucket per node of f, reused across walks — no string keys
 // and no per-walk map allocation anywhere on this path.
 //
 // lookup supplies callee exit summaries; during the recursion fixpoint it
@@ -30,9 +30,13 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 		out.add(tup{tok: start, cond: TrueCondID})
 		return out
 	}
-	entry := e.prog.Func(f).Entry
+	fn := e.prog.Func(f)
+	entry := fn.Entry
 
-	s := e.getScratch()
+	// A walk never leaves f (CFG edges are intraprocedural; callee
+	// summaries recurse through their own scratch), so the dedup buckets
+	// are indexed by a node's position in f.Nodes.
+	s := e.getScratch(len(fn.Nodes))
 	defer e.putScratch(s)
 
 	record := func(t Token, c CondID) {
@@ -45,17 +49,18 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 			record(t, c)
 			return
 		}
-		if s.stamp[loc] != s.epoch {
-			s.stamp[loc] = s.epoch
-			s.bkt[loc] = s.bkt[loc][:0]
+		i := e.prog.Node(loc).Index
+		if s.stamp[i] != s.epoch {
+			s.stamp[i] = s.epoch
+			s.bkt[i] = s.bkt[i][:0]
 		}
-		b := s.bkt[loc]
-		for i := range b {
-			if b[i].tok == t && b[i].cond == c {
+		b := s.bkt[i]
+		for j := range b {
+			if b[j].tok == t && b[j].cond == c {
 				return
 			}
 		}
-		s.bkt[loc] = append(b, wbEntry{tok: t, cond: c})
+		s.bkt[i] = append(b, wbEntry{tok: t, cond: c})
 		s.work = append(s.work, wbItem{loc: loc, tok: t, cond: c})
 	}
 	if len(startLocs) == 0 {
@@ -102,19 +107,21 @@ type wbItem struct {
 	cond CondID
 }
 
-// wbEntry is a (token, condition) pair in a per-location dedup bucket.
+// wbEntry is a (token, condition) pair in a per-node dedup bucket.
 type wbEntry struct {
 	tok  Token
 	cond CondID
 }
 
 // walkScratch is the reusable traversal state for one live walkBack. The
-// dedup set is an epoch-stamped bucket per location: a stale stamp means
-// the bucket logically starts empty this walk, so no clearing pass is
-// needed between walks, and membership is a linear scan of the small
-// per-location fan-in instead of hashing a 16-byte struct key. Profiles
-// showed the per-call map[item]bool — its allocation plus AES hashing —
-// dominating whole-cascade CPU.
+// dedup set is an epoch-stamped bucket per node of the walked function,
+// indexed by ir.Node.Index: a stale stamp means the bucket logically
+// starts empty this walk, so no clearing pass is needed between walks,
+// and membership is a linear scan of the small per-node fan-in instead of
+// hashing a 16-byte struct key. Profiles showed the per-call
+// map[item]bool — its allocation plus AES hashing — dominating
+// whole-cascade CPU. stamp and bkt only ever grow, to the largest
+// function this scratch has walked.
 type walkScratch struct {
 	epoch uint32
 	stamp []uint32
@@ -122,26 +129,31 @@ type walkScratch struct {
 	work  []wbItem
 }
 
-// getScratch pops a scratch off the engine's free list. walkBack re-enters
-// itself through summary lookups and FSCI value resolution, so each live
-// walk owns a scratch; the list depth matches the maximum nesting, which
-// stays small.
-func (e *Engine) getScratch() *walkScratch {
+// getScratch pops a scratch off the engine's free list and grows it to n
+// nodes, the walked function's size. walkBack re-enters itself through
+// summary lookups and FSCI value resolution, so each live walk owns a
+// scratch; the list depth matches the maximum nesting, which stays small.
+func (e *Engine) getScratch(n int) *walkScratch {
 	var s *walkScratch
-	if n := len(e.scratch); n > 0 {
-		s = e.scratch[n-1]
-		e.scratch = e.scratch[:n-1]
+	if k := len(e.scratch); k > 0 {
+		s = e.scratch[k-1]
+		e.scratch = e.scratch[:k-1]
 	} else {
-		n := len(e.prog.Nodes)
-		s = &walkScratch{stamp: make([]uint32, n), bkt: make([][]wbEntry, n)}
+		s = &walkScratch{}
+	}
+	if n > len(s.stamp) {
+		// Exactly n, not append's amortized headroom: the engine keeps its
+		// scratches for life. Every old stamp is stale, and zero is stale
+		// for every epoch, so only the buckets' storage is carried over.
+		bkt := make([][]wbEntry, n)
+		copy(bkt, s.bkt)
+		s.stamp, s.bkt = make([]uint32, n), bkt
 	}
 	s.epoch++
 	if s.epoch == 0 {
 		// Stamp wrap-around: every stale stamp would look current, so force
 		// a full reset once per 2^32 walks.
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
+		clear(s.stamp)
 		s.epoch = 1
 	}
 	return s

@@ -130,6 +130,11 @@ type Node struct {
 	// CallLoc links a return-value binding node back to its call node, and
 	// is NoLoc elsewhere.
 	CallLoc Loc
+
+	// Index is the node's position in its function's Func.Nodes: a dense
+	// per-function numbering, so per-walk state over one function's nodes
+	// is sized by that function rather than by the whole program.
+	Index int32
 }
 
 // Func is one function: its formal parameters, return variable and CFG.
@@ -140,7 +145,7 @@ type Func struct {
 	Ret    VarID // the $ret variable; NoVar if the function never returns a value
 	Entry  Loc
 	Exit   Loc
-	Nodes  []Loc // all nodes of this function, in creation order
+	Nodes  []Loc // all nodes of this function, in creation order; Nodes[i].Index == i
 }
 
 // Program is a whole translation unit in IR form.
@@ -214,9 +219,9 @@ func (p *Program) Func(id FuncID) *Func { return p.Funcs[id] }
 // No edges are added.
 func (p *Program) AddNode(fn FuncID, s Stmt) Loc {
 	loc := Loc(len(p.Nodes))
-	n := &Node{Loc: loc, Fn: fn, Stmt: s, CallLoc: NoLoc}
-	p.Nodes = append(p.Nodes, n)
 	f := p.Funcs[fn]
+	n := &Node{Loc: loc, Fn: fn, Stmt: s, CallLoc: NoLoc, Index: int32(len(f.Nodes))}
+	p.Nodes = append(p.Nodes, n)
 	f.Nodes = append(f.Nodes, loc)
 	return loc
 }
@@ -378,9 +383,12 @@ func (p *Program) Validate() error {
 		if f.Entry == NoLoc || f.Exit == NoLoc {
 			return fmt.Errorf("func %s: missing entry or exit", f.Name)
 		}
-		for _, loc := range f.Nodes {
+		for i, loc := range f.Nodes {
 			if p.Nodes[loc].Fn != f.ID {
 				return fmt.Errorf("func %s: node L%d belongs to another function", f.Name, loc)
+			}
+			if int(p.Nodes[loc].Index) != i {
+				return fmt.Errorf("func %s: node L%d has index %d, want %d", f.Name, loc, p.Nodes[loc].Index, i)
 			}
 		}
 	}

@@ -137,6 +137,41 @@ func TestValidateCatchesCrossFunctionEdge(t *testing.T) {
 	}
 }
 
+// TestNodeIndexPerFunction: AddNode numbers each function's nodes densely
+// from zero, interleaved creation across functions included, and the
+// edited and cloned program keeps Nodes[i].Index == i.
+func TestNodeIndexPerFunction(t *testing.T) {
+	p, f, _ := build(t)
+	h := p.AddFunc("h")
+	h.Entry = p.AddNode(h.ID, Stmt{Op: OpSkip, Dst: NoVar, Src: NoVar, Callee: NoFunc, FPtr: NoVar})
+	h.Exit = h.Entry
+	extra := p.AddNode(f.ID, Stmt{Op: OpSkip, Dst: NoVar, Src: NoVar, Callee: NoFunc, FPtr: NoVar})
+	p.AddEdge(f.Entry, extra)
+	p.AddEdge(extra, f.Exit)
+	if got := p.Node(h.Entry).Index; got != 0 {
+		t.Errorf("h's first node: Index %d, want 0", got)
+	}
+	if got := p.Node(extra).Index; got != 3 {
+		t.Errorf("main's fourth node: Index %d, want 3", got)
+	}
+	skip := Stmt{Op: OpSkip, Dst: NoVar, Src: NoVar, Callee: NoFunc, FPtr: NoVar}
+	if _, err := ApplyEdits(p, []Edit{{Kind: EditInsertAfter, Loc: h.Entry, Stmt: skip}}); err != nil {
+		t.Fatalf("ApplyEdits: %v", err)
+	}
+	q := p.Clone()
+	for _, fn := range q.Funcs {
+		for i, loc := range fn.Nodes {
+			if got := q.Node(loc).Index; int(got) != i {
+				t.Errorf("%s: L%d has Index %d, want %d", fn.Name, loc, got, i)
+			}
+		}
+	}
+	q.Node(extra).Index = 0
+	if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "has index") {
+		t.Errorf("Validate = %v, want a node index error", err)
+	}
+}
+
 func TestValidateMissingEntryExit(t *testing.T) {
 	p := NewProgram()
 	p.AddFunc("f")
