@@ -26,7 +26,10 @@ SERVE_BENCH = sock
 SHARD_ROWS  = autofs
 SHARD_SCALE = 0.5
 
-.PHONY: all build test race vet fmt staticcheck lint check benchmark-selftest bench bench-baseline serve-bench shard-bench shard-baseline checker-bench checker-baseline incremental-bench incremental-baseline examples
+# Timed phase of each repository-benchmark run, in seconds.
+BENCHMARK_SECONDS ?= 15
+
+.PHONY: all build test race vet fmt staticcheck lint check benchmark benchmark-selftest bench bench-baseline serve-bench shard-bench shard-baseline checker-bench checker-baseline incremental-bench incremental-baseline examples
 
 all: check
 
@@ -55,6 +58,14 @@ lint: fmt vet staticcheck
 # check is what CI runs: lint, build, and the full suite under the race
 # detector.
 check: lint build race
+
+# benchmark runs the repository benchmark (benchmark/, declared in
+# BENCHMARK.json) once per workload at seed 1, untraced. Each run prints
+# its metrics as one JSON line and exits nonzero when an answer check
+# on the real workload fails.
+benchmark:
+	bash benchmark/run.sh --workload cold_batch --seed 1 --seconds $(BENCHMARK_SECONDS) --trace 0
+	bash benchmark/run.sh --workload served_mixed --seed 1 --seconds $(BENCHMARK_SECONDS) --trace 0
 
 # benchmark-selftest runs the repository benchmark's own tests (its own
 # Go module under benchmark/, outside `go test ./...`): every workload

@@ -32,7 +32,8 @@ type IncrPoint struct {
 	Clusters int    `json:"clusters"`
 	Edits    int    `json:"edits"`
 
-	// FullNS is the from-scratch analysis the edits amortize against.
+	// FullNS is the from-scratch analysis the edits amortize against:
+	// the median of incrFullRuns analyses, each of a fresh clone.
 	FullNS int64 `json:"full_ns"`
 
 	// P50US / P95US / MeanUS are edit-to-answer latencies in
@@ -44,8 +45,11 @@ type IncrPoint struct {
 	// DirtyFrac is the mean fraction of cover clusters an edit dirtied;
 	// the rest were reused verbatim (Theorem 6's payoff).
 	DirtyFrac float64 `json:"dirty_frac"`
-	// Speedup is FullNS over the mean edit latency: how many times
-	// cheaper an incremental step is than re-analyzing.
+	// Speedup is FullNS over the median edit latency: how many times
+	// cheaper an incremental step is than re-analyzing. Both sides are
+	// medians, so one slow run (a GC cycle, a descheduled thread) on
+	// either side cannot move it the way it moves a single timing or a
+	// mean.
 	Speedup float64 `json:"speedup"`
 
 	// Fallbacks counts edits that degraded to a full reanalysis; the
@@ -65,6 +69,9 @@ type IncrReport struct {
 
 // incrEditCount is the storm length per workload.
 const incrEditCount = 40
+
+// incrFullRuns is how many from-scratch analyses FullNS is the median of.
+const incrFullRuns = 5
 
 // incrIdentityEvery spaces the differential checks: every Nth edit, the
 // edited program is re-analyzed from scratch and fingerprint-compared.
@@ -145,12 +152,23 @@ func IncrPerf(names []string, scale float64, log io.Writer) (*IncrReport, error)
 			return nil, fmt.Errorf("%s: lower: %w", name, err)
 		}
 		cfg := incrConfig()
-		t0 := time.Now()
-		a, err := core.AnalyzeProgram(prog, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: analyze: %w", name, err)
+		// The storm edits the first analysis; every run analyzes a fresh
+		// clone, since analysis devirtualizes its program in place.
+		var a *core.Analysis
+		fulls := make([]time.Duration, incrFullRuns)
+		for i := range fulls {
+			clone := prog.Clone()
+			t0 := time.Now()
+			run, err := core.AnalyzeProgram(clone, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%s: analyze: %w", name, err)
+			}
+			fulls[i] = time.Since(t0)
+			if a == nil {
+				a = run
+			}
 		}
-		fullNS := time.Since(t0)
+		fullNS := median(fulls)
 
 		h := fnv.New64a()
 		io.WriteString(h, name)
@@ -172,7 +190,7 @@ func IncrPerf(names []string, scale float64, log io.Writer) (*IncrReport, error)
 			if !ok {
 				return nil, fmt.Errorf("%s: edit %d: no eligible statements left", name, i)
 			}
-			t0 = time.Now()
+			t0 := time.Now()
 			a2, rep, err := core.ApplyEdit(a, []ir.Edit{e})
 			if err != nil {
 				return nil, fmt.Errorf("%s: edit %d: %w", name, i, err)
@@ -199,22 +217,28 @@ func IncrPerf(names []string, scale float64, log io.Writer) (*IncrReport, error)
 			}
 		}
 
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 		var sum time.Duration
 		for _, d := range latencies {
 			sum += d
 		}
-		mean := sum / time.Duration(len(latencies))
-		pt.P50US = latencies[len(latencies)/2].Microseconds()
+		p50 := median(latencies)
+		pt.P50US = p50.Microseconds()
 		pt.P95US = latencies[len(latencies)*95/100].Microseconds()
-		pt.MeanUS = mean.Microseconds()
+		pt.MeanUS = (sum / time.Duration(len(latencies))).Microseconds()
 		pt.DirtyFrac = dirtyFrac / float64(pt.Edits)
-		if mean > 0 {
-			pt.Speedup = float64(fullNS) / float64(mean)
+		if p50 > 0 {
+			pt.Speedup = float64(fullNS) / float64(p50)
 		}
 		report.Points = append(report.Points, pt)
 	}
 	return report, nil
+}
+
+// median sorts ds in place and returns its middle element (the upper
+// one of an even count, as P50US has always been).
+func median(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
 }
 
 // Incremental-mode latency and reuse gates. The interactive target is

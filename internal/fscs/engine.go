@@ -530,7 +530,7 @@ func (e *Engine) tupleList(m tupSet) []SumTuple {
 // slice's classes are isomorphic or the cluster would be dirty), the
 // Andersen fallback (widened answers must match a fresh run on the new
 // program), and the cluster object carrying the new cover's ID. The
-// walk scratch free list is kept: its buckets are indexed by a node's
+// walk scratch free list is kept: its dedup chains are indexed by a node's
 // position inside its function, and getScratch grows a scratch to the
 // walked function, so an edit that inserts nodes needs no reset.
 func (e *Engine) Rebind(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *cluster.Cluster, fallback *andersen.Analysis) {

@@ -13,9 +13,11 @@ import (
 // call nodes, and returning the set of sources: tokens at f's entry (TVar)
 // or terminated sequences (TAddr / TNull / TUnknown).
 //
-// Conditions travel as interned CondIDs and worklist deduplication is an
-// epoch-stamped bucket per node of f, reused across walks — no string keys
-// and no per-walk map allocation anywhere on this path.
+// Conditions travel as interned CondIDs, worklist deduplication is an
+// epoch-stamped chain per node of f in a flat arena, and transfer appends
+// its outcomes to a reused buffer; all three live in a scratch reused
+// across walks. Once the scratch has grown to f, the result set is the
+// walk's only allocation.
 //
 // lookup supplies callee exit summaries; during the recursion fixpoint it
 // returns the current (possibly still growing) tuple sets.
@@ -34,10 +36,18 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 	entry := fn.Entry
 
 	// A walk never leaves f (CFG edges are intraprocedural; callee
-	// summaries recurse through their own scratch), so the dedup buckets
+	// summaries recurse through their own scratch), so the dedup chains
 	// are indexed by a node's position in f.Nodes.
 	s := e.getScratch(len(fn.Nodes))
-	defer e.putScratch(s)
+	// The arena, worklist and outcome buffer grow in locals, stored back
+	// into the scratch once when the walk ends: storing a slice header
+	// into the heap scratch on every push would be a pointer write with a
+	// GC write barrier.
+	ent, work, outs := s.ent, s.work, s.outs
+	defer func() {
+		s.ent, s.work, s.outs = ent, work, outs
+		e.putScratch(s)
+	}()
 
 	record := func(t Token, c CondID) {
 		out.add(tup{tok: t, cond: c})
@@ -50,18 +60,20 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 			return
 		}
 		i := e.prog.Node(loc).Index
-		if s.stamp[i] != s.epoch {
+		h := int32(-1)
+		if s.stamp[i] == s.epoch {
+			h = s.head[i]
+		} else {
 			s.stamp[i] = s.epoch
-			s.bkt[i] = s.bkt[i][:0]
 		}
-		b := s.bkt[i]
-		for j := range b {
-			if b[j].tok == t && b[j].cond == c {
+		for j := h; j >= 0; j = ent[j].next {
+			if ent[j].tok == t && ent[j].cond == c {
 				return
 			}
 		}
-		s.bkt[i] = append(b, wbEntry{tok: t, cond: c})
-		s.work = append(s.work, wbItem{loc: loc, tok: t, cond: c})
+		s.head[i] = int32(len(ent))
+		ent = append(ent, wbEntry{tok: t, cond: c, next: h})
+		work = append(work, wbItem{loc: loc, tok: t, cond: c})
 	}
 	if len(startLocs) == 0 {
 		// Querying at the function entry: the token's value is whatever it
@@ -73,16 +85,16 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 		push(l, start, TrueCondID)
 	}
 
-	for len(s.work) > 0 {
+	for len(work) > 0 {
 		if !e.charge() {
 			return out
 		}
-		it := s.work[len(s.work)-1]
-		s.work = s.work[:len(s.work)-1]
+		it := work[len(work)-1]
+		work = work[:len(work)-1]
 
-		outcomes := e.transfer(it.loc, it.tok, it.cond, lookup)
+		outs = e.transfer(outs[:0], it.loc, it.tok, it.cond, lookup)
 		n := e.prog.Node(it.loc)
-		for _, oc := range outcomes {
+		for _, oc := range outs {
 			if oc.tok.Kind != TVar && !e.hasAssumes {
 				record(oc.tok, oc.cond)
 				continue
@@ -107,26 +119,36 @@ type wbItem struct {
 	cond CondID
 }
 
-// wbEntry is a (token, condition) pair in a per-node dedup bucket.
+// wbEntry is a (token, condition) pair in a node's dedup chain; next is
+// the arena index of the chain's following entry, or -1 at its end.
 type wbEntry struct {
 	tok  Token
 	cond CondID
+	next int32
 }
 
 // walkScratch is the reusable traversal state for one live walkBack. The
-// dedup set is an epoch-stamped bucket per node of the walked function,
-// indexed by ir.Node.Index: a stale stamp means the bucket logically
-// starts empty this walk, so no clearing pass is needed between walks,
-// and membership is a linear scan of the small per-node fan-in instead of
-// hashing a 16-byte struct key. Profiles showed the per-call
-// map[item]bool — its allocation plus AES hashing — dominating
-// whole-cascade CPU. stamp and bkt only ever grow, to the largest
-// function this scratch has walked.
+// dedup set is one chain of (token, condition) entries per node of the
+// walked function, indexed by ir.Node.Index: head[i] is the arena index
+// of node i's newest entry, valid only while stamp[i] equals epoch. A
+// stale stamp means the chain logically starts empty this walk, so no
+// clearing pass is needed between walks, and membership is a linear scan
+// of the small per-node fan-in instead of hashing a 16-byte struct key.
+// Every chain lives in the one flat ent arena, truncated at getScratch,
+// and links by int32 index: the scratch holds no per-node slices, and
+// walkBack grows ent, work and outs in locals, so its loop stores no
+// pointers and pays no GC write barrier. outs is transfer's outcome
+// buffer; a nested walk (through a summary lookup or PointsToAt) checks
+// out its own scratch, so the buffer is never shared. stamp and head only
+// ever grow, to the largest function this scratch has walked; ent, work
+// and outs keep their capacity across walks.
 type walkScratch struct {
 	epoch uint32
 	stamp []uint32
-	bkt   [][]wbEntry
+	head  []int32
+	ent   []wbEntry
 	work  []wbItem
+	outs  []outcome
 }
 
 // getScratch pops a scratch off the engine's free list and grows it to n
@@ -144,11 +166,11 @@ func (e *Engine) getScratch(n int) *walkScratch {
 	if n > len(s.stamp) {
 		// Exactly n, not append's amortized headroom: the engine keeps its
 		// scratches for life. Every old stamp is stale, and zero is stale
-		// for every epoch, so only the buckets' storage is carried over.
-		bkt := make([][]wbEntry, n)
-		copy(bkt, s.bkt)
-		s.stamp, s.bkt = make([]uint32, n), bkt
+		// for every epoch, so nothing is carried over: a head is only read
+		// under a current stamp, after this walk has written it.
+		s.stamp, s.head = make([]uint32, n), make([]int32, n)
 	}
+	s.ent = s.ent[:0]
 	s.epoch++
 	if s.epoch == 0 {
 		// Stamp wrap-around: every stale stamp would look current, so force
@@ -172,14 +194,16 @@ type outcome struct {
 }
 
 // transfer implements Algorithm 4: the effect of the statement at loc on a
-// tracked token, backwards. It returns the possible outcomes (several when
-// a points-to relation cannot be resolved and both cases are tracked under
-// constraints).
-func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.FuncID, ir.VarID) tupSet) []outcome {
+// tracked token, backwards. It appends the possible outcomes to dst and
+// returns the extended slice (several outcomes when a points-to relation
+// cannot be resolved and both cases are tracked under constraints; none
+// while a provisional callee summary is still empty). It builds no slice
+// of its own, so with a buffer of enough capacity it allocates nothing.
+func (e *Engine) transfer(dst []outcome, loc ir.Loc, tok Token, cond CondID, lookup func(ir.FuncID, ir.VarID) tupSet) []outcome {
 	n := e.prog.Node(loc)
 	st := n.Stmt
 	q := tok.V
-	pass := []outcome{{tok: tok, cond: cond}}
+	pass := outcome{tok: tok, cond: cond}
 
 	// A terminated token (null / &obj / unknown) is walked further only
 	// to pick up the branch constraints guarding its path: assume nodes
@@ -187,15 +211,15 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 	if tok.Kind != TVar {
 		if st.Op == ir.OpAssumeEq || st.Op == ir.OpAssumeNeq {
 			if !e.cl.HasVar(st.Dst) || !e.cl.HasVar(st.Src) {
-				return pass
+				return append(dst, pass)
 			}
 			op := OpSameTarget
 			if st.Op == ir.OpAssumeNeq {
 				op = OpDiffTarget
 			}
-			return []outcome{{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: op, X: st.Dst, Y: st.Src})}}
+			return append(dst, outcome{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: op, X: st.Dst, Y: st.Src})})
 		}
-		return pass
+		return append(dst, pass)
 	}
 
 	// Statements outside St_P cannot modify V_P variables (Algorithm 1
@@ -204,13 +228,13 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 	switch st.Op {
 	case ir.OpCopy, ir.OpAddr, ir.OpLoad, ir.OpStore, ir.OpNullify:
 		if !e.cl.HasStmt(loc) {
-			return pass
+			return append(dst, pass)
 		}
 	}
 
 	switch st.Op {
 	case ir.OpSkip, ir.OpRet, ir.OpTouch:
-		return pass
+		return append(dst, pass)
 
 	case ir.OpAssumeEq, ir.OpAssumeNeq:
 		// Path sensitivity (Section 3): the walk crossed a branch arm
@@ -220,90 +244,89 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 		// tracked (V_P) pointers are recorded — the FSCI points-to sets
 		// used to refute them are only computed for the cluster's slice.
 		if !e.cl.HasVar(st.Dst) || !e.cl.HasVar(st.Src) {
-			return pass
+			return append(dst, pass)
 		}
 		op := OpSameTarget
 		if st.Op == ir.OpAssumeNeq {
 			op = OpDiffTarget
 		}
-		return []outcome{{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: op, X: st.Dst, Y: st.Src})}}
+		return append(dst, outcome{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: op, X: st.Dst, Y: st.Src})})
 
 	case ir.OpCopy:
 		if st.Dst == q {
-			return []outcome{{tok: VarTok(st.Src), cond: cond}}
+			return append(dst, outcome{tok: VarTok(st.Src), cond: cond})
 		}
-		return pass
+		return append(dst, pass)
 
 	case ir.OpAddr:
 		if st.Dst == q {
-			return []outcome{{tok: AddrTok(st.Src), cond: cond}}
+			return append(dst, outcome{tok: AddrTok(st.Src), cond: cond})
 		}
-		return pass
+		return append(dst, pass)
 
 	case ir.OpNullify:
 		if st.Dst == q {
-			return []outcome{{tok: NullTok(), cond: cond}}
+			return append(dst, outcome{tok: NullTok(), cond: cond})
 		}
-		return pass
+		return append(dst, pass)
 
 	case ir.OpLoad: // dst = *s
 		if st.Dst != q {
-			return pass
+			return append(dst, pass)
 		}
 		s := st.Src
+		base := len(dst)
 		if e.sa.SamePartition(s, q) {
 			// Cyclic case: s and the tracked pointer share a partition, so
 			// the FSCI points-to set of s is not available yet; enumerate
 			// the possible objects under constraints (Definition 8).
-			var outs []outcome
 			for _, o := range e.cl.Vars {
 				if e.sa.LocClass(o) == e.sa.ContentClass(s) {
-					outs = append(outs, outcome{
+					dst = append(dst, outcome{
 						tok:  VarTok(o),
 						cond: e.tab.with(cond, Atom{Loc: loc, Op: OpPointsTo, X: s, Y: o}),
 					})
 				}
 			}
-			if len(outs) == 0 {
-				return []outcome{{tok: UnknownTok(), cond: cond}}
+			if len(dst) == base {
+				return append(dst, outcome{tok: UnknownTok(), cond: cond})
 			}
-			return outs
+			return dst
 		}
 		// Top-down resolution: s is strictly higher in the hierarchy, so
 		// its FSCI points-to set is computable first (Algorithm 2).
 		pt, known := e.PointsToAt(s, loc)
 		if !known {
-			return []outcome{{tok: UnknownTok(), cond: cond}}
+			return append(dst, outcome{tok: UnknownTok(), cond: cond})
 		}
-		var outs []outcome
 		for _, o := range pt {
 			if !e.cl.HasVar(o) {
 				continue
 			}
-			outs = append(outs, outcome{
+			dst = append(dst, outcome{
 				tok:  VarTok(o),
 				cond: e.tab.with(cond, Atom{Loc: loc, Op: OpPointsTo, X: s, Y: o}),
 			})
 		}
-		if len(outs) == 0 {
+		if len(dst) == base {
 			// s points nowhere the analysis tracks: the load yields an
 			// unconstrained value.
-			return []outcome{{tok: UnknownTok(), cond: cond}}
+			return append(dst, outcome{tok: UnknownTok(), cond: cond})
 		}
-		return outs
+		return dst
 
 	case ir.OpStore: // *d = r
 		d, r := st.Dst, st.Src
 		// The store can touch q only if q's location class is what d
 		// points at under Steensgaard.
 		if e.sa.LocClass(q) != e.sa.ContentClass(d) {
-			return pass
+			return append(dst, pass)
 		}
 		both := func() []outcome {
-			return []outcome{
-				{tok: VarTok(r), cond: e.tab.with(cond, Atom{Loc: loc, Op: OpPointsTo, X: d, Y: q})},
-				{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: OpNotPointsTo, X: d, Y: q})},
-			}
+			return append(dst,
+				outcome{tok: VarTok(r), cond: e.tab.with(cond, Atom{Loc: loc, Op: OpPointsTo, X: d, Y: q})},
+				outcome{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: OpNotPointsTo, X: d, Y: q})},
+			)
 		}
 		if e.sa.SamePartition(d, q) {
 			return both() // cyclic case: track constraints
@@ -317,7 +340,7 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 				return both()
 			}
 		}
-		return pass // d provably never points at q here
+		return append(dst, pass) // d provably never points at q here
 
 	case ir.OpCall:
 		g := st.Callee
@@ -325,25 +348,24 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 			// Undevirtualized indirect call: conservatively unknown for
 			// any pointer it might modify.
 			if e.cl.HasVar(q) {
-				return []outcome{{tok: UnknownTok(), cond: cond}}
+				return append(dst, outcome{tok: UnknownTok(), cond: cond})
 			}
-			return pass
+			return append(dst, pass)
 		}
 		if !e.Modifies(g, q) {
 			// Executing g has no effect on q: jump over the call
 			// (Algorithm 5, line 17).
-			return pass
+			return append(dst, pass)
 		}
 		// Splice g's exit summary for q (Algorithm 5, lines 10-13): each
 		// source continues in the caller just before the call node, where
 		// the parameter-binding copies rebind formals to actuals.
-		var outs []outcome
 		for t := range lookup(g, q) {
-			outs = append(outs, outcome{tok: t.tok, cond: e.tab.and(cond, t.cond)})
+			dst = append(dst, outcome{tok: t.tok, cond: e.tab.and(cond, t.cond)})
 		}
 		// An empty (provisional) summary yields no outcomes this round;
 		// the fixpoint revisits once the callee summary grows.
-		return outs
+		return dst
 	}
-	return pass
+	return append(dst, pass)
 }

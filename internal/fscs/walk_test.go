@@ -55,9 +55,9 @@ func checkScratchFunctionSized(t *testing.T, e *Engine, p *ir.Program) {
 		t.Fatal("no pooled walk scratch after queries")
 	}
 	for i, s := range e.scratch {
-		if len(s.stamp) > limit || len(s.bkt) > limit {
-			t.Errorf("scratch %d: %d stamps, %d buckets; want <= %d (largest function), program has %d nodes",
-				i, len(s.stamp), len(s.bkt), limit, len(p.Nodes))
+		if len(s.stamp) > limit || len(s.head) > limit {
+			t.Errorf("scratch %d: %d stamps, %d chain heads; want <= %d (largest function), program has %d nodes",
+				i, len(s.stamp), len(s.head), limit, len(p.Nodes))
 		}
 	}
 }
@@ -147,8 +147,10 @@ func TestWalkScratchFunctionSized(t *testing.T) {
 // TestWalkScratchEpochWrap drives the stamp wrap-around reset: a pooled
 // scratch grown to main but last used for the smaller leaf, with its
 // epoch about to wrap, walks main again. Stale stamps equal to the
-// restarted epoch would look current and drop work anywhere in the grown
-// slice, so the answers must still equal a fresh engine's.
+// restarted epoch would look current, so their chain heads would be read
+// as live: the walk would drop work or index past the emptied arena
+// anywhere in the grown slice. The answers must still equal a fresh
+// engine's.
 func TestWalkScratchEpochWrap(t *testing.T) {
 	h := newHarness(t, scratchSrc)
 	q := h.v(t, "q")
@@ -174,18 +176,28 @@ func TestWalkScratchEpochWrap(t *testing.T) {
 		t.Fatalf("scratch has %d stamps, want main's %d nodes", len(s.stamp), len(main.Nodes))
 	}
 	// Make every slot look live at epoch 1, the epoch the reset restarts
-	// at, with each tracked pointer already in its bucket: unless the
-	// reset clears the whole slice, main's walk drops pushes as duplicates.
+	// at, with each tracked pointer already in its chain: unless the reset
+	// clears the whole slice, main's walk follows stale heads and drops
+	// pushes as duplicates or runs off the arena.
+	s.ent = s.ent[:0]
 	for i := range s.stamp {
 		s.stamp[i] = 1
-		s.bkt[i] = s.bkt[i][:0]
+		s.head[i] = -1
 		for _, v := range ptrs {
-			s.bkt[i] = append(s.bkt[i], wbEntry{tok: VarTok(v), cond: TrueCondID})
+			s.ent = append(s.ent, wbEntry{tok: VarTok(v), cond: TrueCondID, next: s.head[i]})
+			s.head[i] = int32(len(s.ent) - 1)
 		}
 	}
 	s.epoch = math.MaxUint32
 
-	got := e.SummaryAt(main.Exit, q)
+	got := func() []SumTuple {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("SummaryAt(main exit, q) after wrap panicked, a stale chain read as live: %v", r)
+			}
+		}()
+		return e.SummaryAt(main.Exit, q)
+	}()
 	if s.epoch != 1 {
 		t.Fatalf("epoch after wrap = %d, want 1", s.epoch)
 	}
@@ -199,4 +211,106 @@ func TestWalkScratchEpochWrap(t *testing.T) {
 		}
 	}
 	checkSameAnswers(t, h.prog, e, fresh, ptrs)
+}
+
+// allocSrc covers every pass-through and single-outcome op transfer
+// meets: the store through pp reaches only r's class, never q's, and
+// leaf modifies r but not q.
+const allocSrc = `
+	int a, b;
+	int *p, *q, *r;
+	int **pp;
+	void main() {
+		p = &a;
+		q = p;
+		r = null;
+		pp = &r;
+		*pp = p;
+		leaf();
+	}
+	void leaf() { r = &b; }
+`
+
+// allocSink keeps the reference tuple sets of TestWalkAllocFree on the
+// heap, as walkBack's result is.
+var allocSink tupSet
+
+// TestWalkAllocFree: on a warmed engine and scratch, transfer appends
+// into a buffer with room without allocating, and a repeated walkBack
+// allocates no more than building its result set does.
+func TestWalkAllocFree(t *testing.T) {
+	h := newHarness(t, allocSrc)
+	p, q, r := h.v(t, "p"), h.v(t, "q"), h.v(t, "r")
+	e := h.engineFor(t)
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	mainFn := h.prog.Func(h.prog.FuncByName["main"])
+	// at returns main's only node with the given op and destination.
+	at := func(op ir.Op, dst ir.VarID) ir.Loc {
+		t.Helper()
+		found := ir.NoLoc
+		for _, loc := range mainFn.Nodes {
+			if st := h.prog.Node(loc).Stmt; st.Op == op && st.Dst == dst {
+				if found != ir.NoLoc {
+					t.Fatalf("main has two %v nodes writing %s", op, h.prog.VarName(dst))
+				}
+				found = loc
+			}
+		}
+		if found == ir.NoLoc {
+			t.Fatalf("main has no %v node writing %s", op, h.prog.VarName(dst))
+		}
+		return found
+	}
+	pass := VarTok(q)
+	cases := []struct {
+		name string
+		loc  ir.Loc
+		tok  Token
+		want Token
+	}{
+		{"skip", mainFn.Entry, pass, pass},
+		{"copy", at(ir.OpCopy, q), VarTok(q), VarTok(p)},
+		{"addr", at(ir.OpAddr, p), VarTok(p), AddrTok(h.v(t, "a"))},
+		{"nullify", at(ir.OpNullify, r), VarTok(r), NullTok()},
+		{"store not touching q", at(ir.OpStore, h.v(t, "pp")), pass, pass},
+		{"call not modifying q", at(ir.OpCall, ir.NoVar), pass, pass},
+	}
+	buf := make([]outcome, 1, 8)
+	for _, c := range cases {
+		got := e.transfer(buf[:1], c.loc, c.tok, TrueCondID, e.summaryLookup)
+		if len(got) != 2 || got[1] != (outcome{tok: c.want, cond: TrueCondID}) {
+			t.Errorf("%s: transfer appended %v, want one outcome %v", c.name, got[1:], c.want)
+			continue
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			buf = e.transfer(buf[:1], c.loc, c.tok, TrueCondID, e.summaryLookup)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: transfer allocated %.1f times per call, want 0", c.name, allocs)
+		}
+	}
+
+	for _, v := range []ir.VarID{p, q, r} {
+		walk := func() tupSet {
+			return e.walkBack(mainFn.ID, VarTok(v), h.prog.Node(mainFn.Exit).Preds, e.summaryLookup)
+		}
+		res := walk()
+		if len(res) == 0 {
+			t.Fatalf("walkBack(main exit, %s) found no sources", h.prog.VarName(v))
+		}
+		setAllocs := testing.AllocsPerRun(100, func() {
+			s := tupSet{}
+			for tp := range res {
+				s.add(tp)
+			}
+			allocSink = s
+		})
+		walkAllocs := testing.AllocsPerRun(100, func() { allocSink = walk() })
+		if walkAllocs > setAllocs {
+			t.Errorf("walkBack(main exit, %s) allocated %.1f times per walk, want <= %.1f (its %d-tuple result set)",
+				h.prog.VarName(v), walkAllocs, setAllocs, len(res))
+		}
+	}
 }
