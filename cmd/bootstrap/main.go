@@ -176,8 +176,8 @@ func run(path string) (err error) {
 	if *stats {
 		fmt.Printf("pointers: %d  clusters: %d  %s\n",
 			a.Prog.NumVars(), len(a.Clusters), healthSummary(a.Health))
-		fmt.Printf("timing: lower=%v steensgaard=%v clustering=%v fscs(seq)=%v fscs(wall)=%v\n",
-			a.Timing.Lower, a.Timing.Steensgaard, a.Timing.Clustering, a.Timing.FSCS, a.Timing.Wall)
+		fmt.Printf("timing: lower=%v steensgaard=%v clustering=%v fallback=%v fscs(seq)=%v fscs(wall)=%v\n",
+			a.Timing.Lower, a.Timing.Steensgaard, a.Timing.Clustering, a.Timing.Fallback, a.Timing.FSCS, a.Timing.Wall)
 		var partSizes, clusterSizes []int
 		for _, part := range a.Steens.Partitions() {
 			partSizes = append(partSizes, len(part))
@@ -193,8 +193,8 @@ func run(path string) (err error) {
 			len(clusterSizes), cp50, cp90, cmax)
 		if a.Andersen != nil {
 			ss := a.Andersen.SolverStats()
-			fmt.Printf("andersen solver: passes=%d collapses=%d merged=%d cycle-elim=%v\n",
-				ss.Passes, ss.Collapses, ss.Merged, analysisFlags.CycleElim)
+			fmt.Printf("andersen solver: passes=%d collapses=%d merged=%d\n",
+				ss.Passes, ss.Collapses, ss.Merged)
 			if ss.Waves > 0 {
 				occ := 0.0
 				if ss.ParFronts > 0 {

@@ -49,8 +49,9 @@ func TestDeltaSolveBasics(t *testing.T) {
 }
 
 // TestDeltaSolveRandom asserts the delta solver is bit-identical to the
-// serial full-propagation baseline on random programs — the ISSUE's
-// differential guarantee for -no-delta.
+// serial full-propagation baseline on random programs: the legacy
+// worklist solver stays as the differential reference for the delta
+// solver the cascade always uses.
 func TestDeltaSolveRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test skipped in -short mode")

@@ -44,7 +44,7 @@ func TestAnalysisFlagsConfig(t *testing.T) {
 	dir := t.TempDir()
 	err := fs.Parse([]string{
 		"-mode", "steensgaard", "-threshold", "12", "-workers", "3",
-		"-budget", "500", "-retries", "0", "-no-intern", "-cycle-elim=false",
+		"-budget", "500", "-retries", "0", "-steens-precise",
 		"-cache-dir", dir,
 	})
 	if err != nil {
@@ -61,8 +61,13 @@ func TestAnalysisFlagsConfig(t *testing.T) {
 	if cfg.Retries != -1 {
 		t.Errorf("Retries = %d, want -1 (flag 0 means demote immediately)", cfg.Retries)
 	}
-	if !cfg.DisableInterning || !cfg.DisableCycleElim {
+	if !cfg.SteensPrecise {
 		t.Errorf("toggles not mapped: %+v", cfg)
+	}
+	for _, gone := range []string{"no-intern", "no-pipeline", "cycle-elim", "no-delta", "no-par-solve", "par-solve-threshold"} {
+		if fs.Lookup(gone) != nil {
+			t.Errorf("flag -%s is registered; results-identical speed knobs were removed", gone)
+		}
 	}
 	if cfg.Cache == nil {
 		t.Error("cache-dir should create a cache")

@@ -608,19 +608,3 @@ func SizeHistogram(cs []*Cluster) map[int]int {
 	}
 	return h
 }
-
-// SelectClusters returns the clusters containing at least one pointer
-// satisfying pred — the paper's demand-driven mode (e.g. lock pointers
-// only for lockset computation).
-func SelectClusters(cs []*Cluster, p *ir.Program, pred func(*ir.Var) bool) []*Cluster {
-	var out []*Cluster
-	for _, c := range cs {
-		for _, v := range c.Pointers {
-			if pred(p.Var(v)) {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
-}

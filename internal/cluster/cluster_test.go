@@ -246,39 +246,6 @@ func TestSizeHistogram(t *testing.T) {
 	}
 }
 
-func TestSelectClusters(t *testing.T) {
-	p, sa := setup(t, `
-		lock *l1, *l2;
-		int *x; int a;
-		void main() {
-			l1 = l2;
-			x = &a;
-		}
-	`)
-	cs := BuildSteensgaard(p, sa)
-	locks := SelectClusters(cs, p, func(vr *ir.Var) bool { return vr.IsLock })
-	if len(locks) == 0 {
-		t.Fatal("no lock clusters selected")
-	}
-	for _, c := range locks {
-		hasLock := false
-		for _, m := range c.Pointers {
-			if p.Var(m).IsLock {
-				hasLock = true
-			}
-		}
-		if !hasLock {
-			t.Errorf("selected cluster %v has no lock pointer", c)
-		}
-	}
-	// Lock clusters should not include the x/a cluster.
-	for _, c := range locks {
-		if c.HasPointer(v(t, p, "x")) {
-			t.Error("lock-cluster selection leaked the x cluster")
-		}
-	}
-}
-
 func TestClusterFuncs(t *testing.T) {
 	p, sa := setup(t, `
 		int *g1, *g2; int a;

@@ -103,8 +103,8 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if len(a.Clusters) < 2 {
 		t.Errorf("expected multiple clusters, got %d", len(a.Clusters))
 	}
-	if a.Timing.Steensgaard <= 0 || a.Timing.FSCS <= 0 {
-		t.Error("timings should be recorded")
+	if a.Timing.Steensgaard <= 0 || a.Timing.Fallback <= 0 || a.Timing.FSCS <= 0 {
+		t.Errorf("timings should be recorded: %+v", a.Timing)
 	}
 }
 

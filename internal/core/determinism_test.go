@@ -1,25 +1,30 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"bootstrap/internal/cache"
+	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 )
 
 // aliasDump serializes every query surface the facade exposes into one
 // canonical string: the cover (IDs, kinds, pointer sets), per-pointer
 // cluster membership, points-to sets, alias sets and health statuses.
-// Two analyses with equal dumps are observably identical.
+// Health is the eager record plus the query-time one, so a lazy analysis
+// whose clusters were all solved on demand dumps like an eager one. Two
+// analyses with equal dumps are observably identical.
 func aliasDump(a *Analysis) string {
 	var b strings.Builder
 	for _, c := range a.Clusters {
 		fmt.Fprintf(&b, "cluster %d %s %v\n", c.ID, c.Kind, c.Pointers)
 	}
-	for _, h := range a.Health {
+	for _, h := range append(append([]ClusterHealth(nil), a.Health...), a.QueryHealth()...) {
 		fmt.Fprintf(&b, "health %d %s demoted=%v\n", h.ClusterID, h.Status, h.Demoted)
 	}
 	exit := a.Prog.Func(a.Prog.Entry).Exit
@@ -36,131 +41,127 @@ func aliasDump(a *Analysis) string {
 	return b.String()
 }
 
-// TestDeterministicAcrossWorkersAndKnobs is the PR's determinism
-// acceptance check: alias results must be bit-for-bit identical across
-// worker counts and with the interning, pipelining and cycle-elimination
-// optimizations toggled off — the knobs and the parallelism trade work,
-// never answers.
-func TestDeterministicAcrossWorkersAndKnobs(t *testing.T) {
-	var want string
-	first := true
-	for _, workers := range []int{1, 8} {
-		for _, noIntern := range []bool{false, true} {
-			for _, noPipe := range []bool{false, true} {
-				for _, noCycle := range []bool{false, true} {
-					cfg := Config{
-						Mode:              ModeAndersen,
-						Workers:           workers,
-						AndersenThreshold: 2, // force Andersen refinement
-						DisableInterning:  noIntern,
-						DisablePipelining: noPipe,
-						DisableCycleElim:  noCycle,
-					}
-					a, err := AnalyzeSource(testProgram, cfg)
-					if err != nil {
-						t.Fatalf("workers=%d noIntern=%v noPipe=%v noCycle=%v: %v",
-							workers, noIntern, noPipe, noCycle, err)
-					}
-					dump := aliasDump(a)
-					if first {
-						want, first = dump, false
-						continue
-					}
-					if dump != want {
-						t.Errorf("workers=%d noIntern=%v noPipe=%v noCycle=%v: results diverge\n--- want\n%s--- got\n%s",
-							workers, noIntern, noPipe, noCycle, want, dump)
-					}
-				}
-			}
-		}
-	}
+// topology runs one cover configuration under one execution topology.
+type topology struct {
+	name string
+	run  func(t *testing.T, cfg Config) *Analysis
 }
 
-// TestDeterministicWithWarmCache extends the determinism check to the
-// result cache: with one cache shared across every knob combination, each
-// run after the first must serve entirely from it (the fingerprint
-// excludes the result-neutral knobs) and still produce the same
-// bit-for-bit dump as a cache-free analysis. Caching trades time, never
-// answers.
-func TestDeterministicWithWarmCache(t *testing.T) {
-	fresh, err := AnalyzeSource(testProgram, Config{
-		Mode: ModeAndersen, Workers: 1, AndersenThreshold: 2,
-	})
+// topologies are the ways the cascade can execute one configuration:
+// eager on one worker (the reference) and on eight, lazy with every
+// cluster then solved through EnsureCluster, served entirely from a warm
+// result cache, and split into BuildPlan + AnalyzeFromPlan. Scheduling
+// trades work, never answers, so every topology must agree.
+var topologies = []topology{
+	{"workers1", func(t *testing.T, cfg Config) *Analysis {
+		cfg.Workers = 1
+		return mustAnalyze(t, cfg)
+	}},
+	{"workers8", func(t *testing.T, cfg Config) *Analysis {
+		cfg.Workers = 8
+		return mustAnalyze(t, cfg)
+	}},
+	{"lazy", func(t *testing.T, cfg Config) *Analysis {
+		cfg.Workers, cfg.Lazy = 8, true
+		a := mustAnalyze(t, cfg)
+		if len(a.Health) != 0 || len(a.QueryHealth()) != 0 {
+			t.Fatal("lazy analysis solved clusters eagerly")
+		}
+		for _, c := range a.Clusters {
+			if _, _, final := a.EnsureCluster(context.Background(), c.ID); !final {
+				t.Fatalf("EnsureCluster(%d) did not finish", c.ID)
+			}
+		}
+		return a
+	}},
+	{"warm-cache", func(t *testing.T, cfg Config) *Analysis {
+		cfg.Cache = cache.New(cache.Options{})
+		cfg.Workers = 8
+		cold := mustAnalyze(t, cfg)
+		if st := cold.CacheStats; st.Hits+st.Misses != int64(len(cold.Health)) {
+			t.Errorf("cold run stats = %+v, want one probe per cluster", st)
+		}
+		cfg.Workers = 1
+		warm := mustAnalyze(t, cfg)
+		if warm.CacheStats.Misses != 0 || warm.CacheStats.Hits != int64(len(warm.Health)) {
+			t.Errorf("warm run stats = %+v, want %d hits and no misses", warm.CacheStats, len(warm.Health))
+		}
+		return warm
+	}},
+	{"plan-workers1", func(t *testing.T, cfg Config) *Analysis {
+		cfg.Workers = 1
+		return mustPlanAnalyze(t, cfg)
+	}},
+	{"plan-workers8", func(t *testing.T, cfg Config) *Analysis {
+		cfg.Workers = 8
+		return mustPlanAnalyze(t, cfg)
+	}},
+}
+
+func mustAnalyze(t *testing.T, cfg Config) *Analysis {
+	t.Helper()
+	a, err := AnalyzeSource(testProgram, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := aliasDump(fresh)
-
-	shared := cache.New(cache.Options{})
-	first := true
-	for _, workers := range []int{1, 8} {
-		for _, noIntern := range []bool{false, true} {
-			for _, noPipe := range []bool{false, true} {
-				for _, noCycle := range []bool{false, true} {
-					cfg := Config{
-						Mode:              ModeAndersen,
-						Workers:           workers,
-						AndersenThreshold: 2,
-						DisableInterning:  noIntern,
-						DisablePipelining: noPipe,
-						DisableCycleElim:  noCycle,
-						Cache:             shared,
-					}
-					a, err := AnalyzeSource(testProgram, cfg)
-					if err != nil {
-						t.Fatalf("workers=%d noIntern=%v noPipe=%v noCycle=%v: %v",
-							workers, noIntern, noPipe, noCycle, err)
-					}
-					if dump := aliasDump(a); dump != want {
-						t.Errorf("workers=%d noIntern=%v noPipe=%v noCycle=%v: cached results diverge from fresh\n--- fresh\n%s--- got\n%s",
-							workers, noIntern, noPipe, noCycle, want, dump)
-					}
-					if first {
-						first = false
-						if a.CacheStats.Misses != int64(len(a.Health)) {
-							t.Errorf("first run stats = %+v, want all misses", a.CacheStats)
-						}
-						continue
-					}
-					if a.CacheStats.Misses != 0 {
-						t.Errorf("workers=%d noIntern=%v noPipe=%v noCycle=%v: warm run missed %d times, want pure hits",
-							workers, noIntern, noPipe, noCycle, a.CacheStats.Misses)
-					}
-				}
-			}
-		}
-	}
+	return a
 }
 
-// TestPipelinedMatchesSerialCover: the streamed cover must be the
-// BuildAndersen cover exactly — same clusters, same IDs, same order —
-// including under demand selection and the hybrid size cut-off.
-func TestPipelinedMatchesSerialCover(t *testing.T) {
-	for _, tc := range []struct {
+func mustPlanAnalyze(t *testing.T, cfg Config) *Analysis {
+	t.Helper()
+	prog, err := frontend.LowerSource(testProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := BuildPlan(context.Background(), prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AnalyzeFromPlan(context.Background(), pl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestDeterministicAcrossWorkersAndKnobs is the topology-identity table:
+// for every cover configuration (each clustering mode, One-Flow, and the
+// Andersen cascade under demand selection and the hybrid cut-off), every
+// topology must produce the same cover, answers, health and cluster
+// fingerprints as the single-worker eager run.
+func TestDeterministicAcrossWorkersAndKnobs(t *testing.T) {
+	covers := []struct {
 		name string
 		cfg  Config
 	}{
-		{"plain", Config{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4}},
-		{"demand", Config{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4,
+		{"andersen", Config{Mode: ModeAndersen, AndersenThreshold: 2}},
+		{"andersen-demand", Config{Mode: ModeAndersen, AndersenThreshold: 2,
 			Demand: func(v *ir.Var) bool { return v.IsLock }}},
-		{"hybrid", Config{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4, HybridSizeLimit: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			piped, err := AnalyzeSource(testProgram, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serialCfg := tc.cfg
-			serialCfg.DisablePipelining = true
-			serial, err := AnalyzeSource(testProgram, serialCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := aliasDump(piped), aliasDump(serial); got != want {
-				t.Errorf("pipelined cover/results diverge from serial\n--- serial\n%s--- pipelined\n%s", want, got)
-			}
-			if len(piped.Clusters) != len(serial.Clusters) {
-				t.Fatalf("cover sizes differ: %d vs %d", len(piped.Clusters), len(serial.Clusters))
+		{"andersen-hybrid", Config{Mode: ModeAndersen, AndersenThreshold: 2, HybridSizeLimit: 2}},
+		{"oneflow", Config{Mode: ModeAndersen, AndersenThreshold: 2, UseOneFlow: true}},
+		{"none", Config{Mode: ModeNone}},
+		{"steensgaard", Config{Mode: ModeSteensgaard}},
+		{"syntactic", Config{Mode: ModeSyntactic}},
+	}
+	for _, cv := range covers {
+		t.Run(cv.name, func(t *testing.T) {
+			var wantDump string
+			var wantFP map[int]string
+			for _, tp := range topologies {
+				t.Run(tp.name, func(t *testing.T) {
+					a := tp.run(t, cv.cfg)
+					dump, fp := aliasDump(a), a.Fingerprints()
+					if wantFP == nil {
+						wantDump, wantFP = dump, fp
+						return
+					}
+					if dump != wantDump {
+						t.Errorf("results diverge from workers1\n--- workers1\n%s--- %s\n%s", wantDump, tp.name, dump)
+					}
+					if !reflect.DeepEqual(fp, wantFP) {
+						t.Errorf("fingerprints diverge from workers1:\n%v\n%v", wantFP, fp)
+					}
+				})
 			}
 		})
 	}

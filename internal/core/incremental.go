@@ -39,7 +39,6 @@ import (
 	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/frontend"
-	"bootstrap/internal/fscs"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
 	"bootstrap/internal/steens"
@@ -158,15 +157,15 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	// needed first (signatures and partition enumeration).
 	tSteens := time.Now()
 	sa2 := steens.Analyze(newProg, cfg.steensOpts()...)
-	steensElapsed := time.Since(tSteens)
-
-	var aa *andersen.Analysis
-	var cg *callgraph.Graph
+	pl := &Plan{Prog: newProg, Steens: sa2}
+	pl.Timing.Steensgaard = time.Since(tSteens)
 	auxDone := make(chan struct{})
 	go func() {
 		defer close(auxDone)
-		aa = andersen.Analyze(newProg, cfg.andersenOpts()...)
-		cg = callgraph.Build(newProg)
+		t := time.Now()
+		pl.Andersen = andersen.Analyze(newProg, cfg.andersenOpts()...)
+		pl.CallGraph = callgraph.Build(newProg)
+		pl.Timing.Fallback = time.Since(t)
 	}()
 
 	sig := collectSignals(prev, sa2, sum, len(newProg.Vars))
@@ -255,62 +254,25 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 			cover = append(cover, c)
 		}
 	}
-	clusteringElapsed := time.Since(tCluster)
+	pl.Clusters = cover
+	pl.Timing.Clustering = time.Since(tCluster)
 	<-auxDone
 
 	a2 := newAnalysis(newProg, cfg)
 	a2.mu = prev.mu // engines migrate; both generations share the lock
-	a2.Steens = sa2
-	a2.Andersen = aa
-	a2.CallGraph = cg
-	a2.Clusters = cover
 	a2.partBases = newBases
-	a2.Timing.Steensgaard = steensElapsed
-	a2.Timing.Clustering = clusteringElapsed
-
-	// Selection: reused clusters inherit the previous decision (the
-	// predicate inputs are unchanged); recomputed clusters re-apply the
-	// demand/hybrid predicates exactly as AnalyzeFromPlan does.
-	selects := func(c *cluster.Cluster) bool {
-		if cfg.HybridSizeLimit > 0 && c.Size() > cfg.HybridSizeLimit {
-			return false
-		}
-		if cfg.Demand == nil {
-			return true
-		}
-		for _, v := range c.Pointers {
-			if cfg.Demand(newProg.Var(v)) {
-				return true
-			}
-		}
-		return false
-	}
 	oldHealth := make(map[int]ClusterHealth, len(prev.Health))
 	for _, h := range prev.Health {
 		oldHealth[h.ClusterID] = h
 	}
 
-	rep := &EditReport{
-		Clusters:    len(cover),
-		Reused:      len(moves),
-		Dirty:       len(dirtyIDs),
-		SteensDrift: sig.drift,
-		DirtyIDs:    dirtyIDs,
-	}
-
 	// Transplants: engine moves and rebinds under the shared query lock
 	// so in-flight queries on prev never observe a half-rebound engine.
-	groupHadEngine := false
 	a2.mu.Lock()
 	for _, mv := range moves {
-		nc := cover[mv.newID]
-		if _, sel := prev.selected[mv.oldID]; sel {
-			a2.selected[mv.newID] = nc
-		}
 		if eng := prev.engines[mv.oldID]; eng != nil {
-			eng.Rebind(newProg, cg, sa2, nc, aa)
+			eng.Rebind(newProg, pl.CallGraph, sa2, cover[mv.newID], pl.Andersen)
 			a2.engines[mv.newID] = eng
-			groupHadEngine = true
 		}
 		if h, ok := oldHealth[mv.oldID]; ok {
 			h.ClusterID = mv.newID
@@ -320,111 +282,39 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 			a2.queryHealth[mv.newID] = h
 		}
 	}
+	// Eager analyses re-solve every dirty cluster now. Lazy ones (the
+	// daemon) re-solve only when some engine was already warm — a cold
+	// lazy cover stays lazy.
+	warm := !cfg.Lazy || len(prev.engines) > 0
 	a2.mu.Unlock()
 
-	var solve []*cluster.Cluster
+	// The whole cover streams through the executor so selection and the
+	// pointer index match a from-scratch run; re-applying the selection
+	// predicate to a reused cluster repeats its previous decision (the
+	// predicate inputs are unchanged). Only dirty clusters solve.
+	dirty := make(map[int]bool, len(dirtyIDs))
 	for _, id := range dirtyIDs {
-		c := cover[id]
-		if !selects(c) {
-			continue
-		}
-		a2.selected[id] = c
-		// Eager analyses re-solve every dirty cluster now. Lazy ones
-		// (the daemon) re-solve only when some engine was already warm —
-		// a cold lazy cover stays lazy.
-		if !cfg.Lazy || groupHadEngine || len(prev.engines) > 0 {
-			solve = append(solve, c)
-		}
+		dirty[id] = true
 	}
-	for id, c := range a2.selected {
-		for _, p := range c.Pointers {
-			a2.byPointer[p] = append(a2.byPointer[p], id)
-		}
+	healths, err := a2.execute(ctx, pl, sliceStream(cover), readyNow,
+		func(c *cluster.Cluster) bool { return warm && dirty[c.ID] })
+	if err != nil {
+		return nil, nil, err
 	}
-
-	healths := runClusters(ctx, a2, solve, cfg)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("core: applyedit cancelled: %w", err)
+	rep := &EditReport{
+		Clusters:    len(cover),
+		Reused:      len(moves),
+		Dirty:       len(dirtyIDs),
+		Resolved:    len(healths),
+		SteensDrift: sig.drift,
+		DirtyIDs:    dirtyIDs,
 	}
-	for i, c := range solve {
-		h := healths[i]
-		rep.Resolved++
+	for _, h := range healths {
 		if h.Cached {
 			rep.CacheHits++
 		}
-		if cfg.Lazy {
-			a2.mu.Lock()
-			a2.queryHealth[c.ID] = h
-			a2.mu.Unlock()
-		} else {
-			a2.Health = append(a2.Health, h)
-		}
-		a2.Timing.FSCS += h.Elapsed
-	}
-	sort.Slice(a2.Health, func(i, j int) bool { return a2.Health[i].ClusterID < a2.Health[j].ClusterID })
-	if cfg.Cache != nil {
-		a2.CacheStats = cfg.Cache.Stats()
 	}
 	return a2, rep, nil
-}
-
-// runClusters solves the given clusters through the fault-tolerant
-// ladder with the configured worker parallelism, recording engines into
-// a2 and returning per-cluster health in input order.
-func runClusters(ctx context.Context, a2 *Analysis, work []*cluster.Cluster, cfg Config) []ClusterHealth {
-	healths := make([]ClusterHealth, len(work))
-	if len(work) == 0 {
-		return healths
-	}
-	engines := make([]*fscs.Engine, len(work))
-	if cfg.Workers <= 1 {
-		for i, c := range work {
-			engines[i], healths[i] = RunCluster(ctx, a2.Prog, a2.CallGraph, a2.Steens, c, a2.Andersen, cfg)
-		}
-	} else {
-		sem := make(chan struct{}, cfg.Workers)
-		done := make(chan int)
-		for i, c := range work {
-			go func(i int, c *cluster.Cluster) {
-				sem <- struct{}{}
-				defer func() { <-sem; done <- i }()
-				engines[i], healths[i] = RunCluster(ctx, a2.Prog, a2.CallGraph, a2.Steens, c, a2.Andersen, cfg)
-			}(i, c)
-		}
-		for range work {
-			<-done
-		}
-	}
-	a2.mu.Lock()
-	for i, c := range work {
-		if engines[i] != nil {
-			a2.engines[c.ID] = engines[i]
-		} else {
-			// Demoted through the ladder: deselect, exactly as the eager
-			// scheduler does, so queries answer from the fallback.
-			delete(a2.selected, c.ID)
-			dropPointerIndex(a2, c)
-		}
-	}
-	a2.mu.Unlock()
-	return healths
-}
-
-func dropPointerIndex(a *Analysis, c *cluster.Cluster) {
-	for _, p := range c.Pointers {
-		ids := a.byPointer[p]
-		kept := ids[:0]
-		for _, id := range ids {
-			if id != c.ID {
-				kept = append(kept, id)
-			}
-		}
-		if len(kept) == 0 {
-			delete(a.byPointer, p)
-		} else {
-			a.byPointer[p] = kept
-		}
-	}
 }
 
 // editSignals is the dirty set an edit batch induces, in slice terms.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"bootstrap/internal/cache"
 	"bootstrap/internal/core"
@@ -126,7 +127,6 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 		{"default", core.Config{Mode: core.ModeAndersen}},
 		{"workers1", core.Config{Mode: core.ModeAndersen, Workers: 1}},
 		{"workers8", core.Config{Mode: core.ModeAndersen, Workers: 8}},
-		{"no-delta", core.Config{Mode: core.ModeAndersen, DisableDeltaProp: true}},
 		{"steens-precise", core.Config{Mode: core.ModeAndersen, SteensPrecise: true}},
 		{"warm-cache", core.Config{Mode: core.ModeAndersen, Cache: cache.New(cache.Options{})}},
 	}
@@ -265,6 +265,83 @@ func TestApplyEditLazy(t *testing.T) {
 		t.Fatalf("fresh warm: %v", err)
 	}
 	sampleQueries(t, "lazy-warm", a3, fresh)
+}
+
+// TestApplyEditCacheStatsWindow: an ApplyEdit's CacheStats is its own
+// window over the shared cache, not the cache's lifetime counters. The
+// second edit reverts the first, so its re-solves hit the entries the
+// initial analysis stored.
+func TestApplyEditCacheStatsWindow(t *testing.T) {
+	prog := incrProg(t)
+	cfg := core.Config{Mode: core.ModeAndersen, Workers: 2, Cache: cache.New(cache.Options{})}
+	a, err := core.AnalyzeProgram(prog, cfg)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	var edits, reverts []ir.Edit
+	for _, e := range randomStmtEdits(a.Prog, rand.New(rand.NewSource(3)), 8) {
+		if e.Kind == ir.EditReplaceStmt && len(edits) < 3 {
+			edits = append(edits, e)
+			reverts = append(reverts, ir.Edit{Kind: ir.EditReplaceStmt, Loc: e.Loc, Stmt: a.Prog.Node(e.Loc).Stmt})
+		}
+	}
+	a2, rep1, err := core.ApplyEdit(a, edits)
+	if err != nil || rep1.FellBack {
+		t.Fatalf("edit: err=%v report=%+v", err, rep1)
+	}
+	a3, rep2, err := core.ApplyEdit(a2, reverts)
+	if err != nil || rep2.FellBack {
+		t.Fatalf("revert: err=%v report=%+v", err, rep2)
+	}
+	for i, step := range []struct {
+		a   *core.Analysis
+		rep *core.EditReport
+	}{{a2, rep1}, {a3, rep2}} {
+		st, rep := step.a.CacheStats, step.rep
+		if st.Hits != int64(rep.CacheHits) || st.Misses != int64(rep.Resolved-rep.CacheHits) {
+			t.Errorf("edit %d: CacheStats = %d hits / %d misses, report = %d resolved / %d cache hits",
+				i+1, st.Hits, st.Misses, rep.Resolved, rep.CacheHits)
+		}
+	}
+	if rep2.CacheHits == 0 {
+		t.Fatalf("revert re-solved %d clusters without a cache hit", rep2.Resolved)
+	}
+}
+
+// TestApplyEditRunTimeout: ApplyEdit's re-solves run under
+// Config.RunTimeout like a from-scratch analysis, so an expired run
+// deadline demotes the dirty clusters instead of solving them.
+func TestApplyEditRunTimeout(t *testing.T) {
+	prog := incrProg(t)
+	cfg := core.Config{Mode: core.ModeAndersen, RunTimeout: time.Nanosecond}
+	a, err := core.AnalyzeProgram(prog, cfg)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	a2, rep, err := core.ApplyEdit(a, randomStmtEdits(a.Prog, rand.New(rand.NewSource(5)), 1))
+	if err != nil || rep.FellBack {
+		t.Fatalf("ApplyEdit: err=%v report=%+v", err, rep)
+	}
+	fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
+	if err != nil {
+		t.Fatalf("fresh: %v", err)
+	}
+	diffFingerprints(t, "run-timeout", a2.Fingerprints(), fresh.Fingerprints())
+	statuses := func(a *core.Analysis) []string {
+		var out []string
+		for _, h := range a.Health {
+			out = append(out, fmt.Sprintf("%d:%s", h.ClusterID, h.Status))
+		}
+		return out
+	}
+	for _, h := range fresh.Health {
+		if h.Status != core.HealthTimedOut {
+			t.Fatalf("fresh cluster %d is %s under an expired run deadline", h.ClusterID, h.Status)
+		}
+	}
+	if got, want := statuses(a2), statuses(fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("health after ApplyEdit = %v, fresh = %v", got, want)
+	}
 }
 
 // TestApplyEditBadBatch: malformed edits error out without touching the

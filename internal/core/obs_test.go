@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"bootstrap/internal/cache"
+	"bootstrap/internal/frontend"
 	"bootstrap/internal/obs"
 )
 
@@ -29,29 +31,47 @@ func normalizeTrace(t *testing.T, tr *obs.Tracer) string {
 
 // TestTraceDeterministicWorkers1 is the tracing acceptance check: two
 // Workers=1 runs of the same configuration must produce identical event
-// streams up to timestamps — on the serial path (inline cluster loop)
-// and on the pipelined path (single-writer tracks, canonical order).
+// streams up to timestamps, on both entry points — AnalyzeSource and
+// BuildPlan + AnalyzeFromPlan. Every track has a single writer and the
+// export order is canonical.
 func TestTraceDeterministicWorkers1(t *testing.T) {
-	for _, noPipe := range []bool{true, false} {
+	entries := map[string]func(cfg Config) error{
+		"analyze": func(cfg Config) error {
+			_, err := AnalyzeSource(testProgram, cfg)
+			return err
+		},
+		"plan": func(cfg Config) error {
+			prog, err := frontend.LowerSource(testProgram)
+			if err != nil {
+				return err
+			}
+			pl, err := BuildPlan(context.Background(), prog, cfg)
+			if err != nil {
+				return err
+			}
+			_, err = AnalyzeFromPlan(context.Background(), pl, cfg)
+			return err
+		},
+	}
+	for name, run := range entries {
 		var want string
-		for run := 0; run < 2; run++ {
+		for i := 0; i < 2; i++ {
 			tr := obs.NewTracer()
 			cfg := Config{
 				Mode:              ModeAndersen,
 				Workers:           1,
 				AndersenThreshold: 2,
-				DisablePipelining: noPipe,
 				Tracer:            tr,
 			}
-			if _, err := AnalyzeSource(testProgram, cfg); err != nil {
+			if err := run(cfg); err != nil {
 				t.Fatal(err)
 			}
 			got := normalizeTrace(t, tr)
-			if run == 0 {
+			if i == 0 {
 				want = got
 			} else if got != want {
-				t.Errorf("pipelining=%v: run 1 and run 2 traces differ:\n--- run 1:\n%s\n--- run 2:\n%s",
-					!noPipe, want, got)
+				t.Errorf("%s: run 1 and run 2 traces differ:\n--- run 1:\n%s\n--- run 2:\n%s",
+					name, want, got)
 			}
 		}
 	}
@@ -85,7 +105,6 @@ func TestTracePhaseAndOutcomeSpans(t *testing.T) {
 		Mode:              ModeAndersen,
 		Workers:           1,
 		AndersenThreshold: 2,
-		DisablePipelining: true,
 		Cache:             cc,
 	}
 
@@ -131,7 +150,6 @@ func TestTracePhaseAndOutcomeSpans(t *testing.T) {
 		Mode:              ModeAndersen,
 		Workers:           1,
 		AndersenThreshold: 2,
-		DisablePipelining: true,
 		ClusterBudget:     1,
 		Retries:           -1,
 		Tracer:            starved,

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"bootstrap/internal/andersen"
-	"bootstrap/internal/cache"
 	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/frontend"
@@ -40,8 +38,8 @@ type Plan struct {
 	Clusters  []*cluster.Cluster
 
 	// Timing covers the front-end stages (Steensgaard, One-Flow,
-	// Clustering); AnalyzeFromPlan copies it into the Analysis and adds
-	// the FSCS stage.
+	// Clustering, Fallback); the executor copies it into the Analysis
+	// and adds the FSCS stage.
 	Timing Timing
 }
 
@@ -101,17 +99,25 @@ func newAnalysis(prog *ir.Program, cfg Config) *Analysis {
 	}
 }
 
-// BuildPlan runs the serial front-end of the cascade — Steensgaard (plus
-// devirtualization), optional One-Flow, the alias cover, the
-// flow-insensitive fallback and the call graph — and returns the plan
-// without running any per-cluster engine. AnalyzeProgramContext is
-// BuildPlan + AnalyzeFromPlan (modulo the pipelined fast path, which
-// overlaps the two on purpose).
-func BuildPlan(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// startFront runs the cascade's front end, shared by
+// AnalyzeProgramContext and BuildPlan (ApplyEdit rebuilds its cover
+// incrementally instead). Steensgaard (plus devirtualization) and the optional One-Flow
+// stage run inline. Then two goroutines start: one computes the
+// flow-insensitive fallback and the call graph, the other delivers the
+// alias cover over the returned channel in final ID order. The plain
+// Andersen cascade streams it partition by partition
+// (cluster.StreamAndersen); every other cover is built whole and then
+// fed. Each delivered cluster is appended to pl.Clusters; pl.Clusters and
+// pl.Timing.Clustering are final once the channel is closed, and
+// pl.Andersen, pl.CallGraph and pl.Timing.Fallback once ready is closed.
+//
+// The cover is built under the caller's ctx, never the RunTimeout
+// context: RunTimeout degrades FSCS precision per cluster but must not
+// truncate the cover, or queries on missing clusters would be unsound.
+func startFront(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, <-chan *cluster.Cluster, <-chan struct{}, error) {
+	if int(cfg.Mode) >= len(modeNames) {
+		return nil, nil, nil, fmt.Errorf("core: unknown mode %d", cfg.Mode)
 	}
-	planDefaults(&cfg)
 	pl := &Plan{Prog: prog}
 	tr := cfg.Tracer
 	tr.NameThread(obs.TIDMain, "cascade")
@@ -121,14 +127,14 @@ func BuildPlan(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, error)
 	sa, err := steensFront(prog, cfg)
 	if err != nil {
 		sp.End()
-		return nil, err
+		return nil, nil, nil, err
 	}
 	pl.Steens = sa
 	sp.Arg("partitions", sa.NumPartitions()).Arg("max_partition", sa.MaxPartitionSize()).End()
 	sa.Record(cfg.Metrics)
 	pl.Timing.Steensgaard = time.Since(t0)
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: analysis cancelled: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: analysis cancelled: %w", err)
 	}
 
 	var of *oneflow.Analysis
@@ -140,172 +146,93 @@ func BuildPlan(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, error)
 		pl.Timing.OneFlow = time.Since(t)
 	}
 
-	t1 := time.Now()
-	sp = tr.Start("phase", "clustering", obs.TIDMain).Arg("mode", cfg.Mode.String())
-	switch cfg.Mode {
-	case ModeNone:
-		pl.Clusters = []*cluster.Cluster{cluster.BuildWhole(prog, sa)}
-	case ModeSteensgaard:
-		pl.Clusters = cluster.BuildSteensgaard(prog, sa)
-	case ModeAndersen:
-		threshold := cfg.AndersenThreshold
-		if of != nil {
-			pl.Clusters = buildWithOneFlow(prog, sa, of, threshold, cfg.andersenOpts())
-		} else {
-			pl.Clusters = cluster.BuildAndersen(prog, sa, threshold, cfg.andersenOpts()...)
-		}
-	case ModeSyntactic:
-		pl.Clusters = cluster.BuildSyntactic(prog, sa)
-	default:
+	ready := make(chan struct{})
+	tr.NameThread(obs.TIDFallback, "fallback")
+	go func() {
+		defer close(ready)
+		t := time.Now()
+		sp := tr.Start("phase", "fallback", obs.TIDFallback)
+		pl.Andersen = andersen.Analyze(prog,
+			append(cfg.andersenOpts(), andersen.WithTracer(tr, obs.TIDFallback))...)
+		pl.CallGraph = callgraph.Build(prog)
 		sp.End()
-		return nil, fmt.Errorf("core: unknown mode %d", cfg.Mode)
+		pl.Timing.Fallback = time.Since(t)
+		pl.Andersen.SolverStats().Record(cfg.Metrics)
+	}()
+
+	t1 := time.Now()
+	csp := tr.Start("phase", "clustering", obs.TIDMain).Arg("mode", cfg.Mode.String())
+	// One cluster of lookahead per FSCS worker, so a worker that finishes
+	// a job finds the next one already delivered.
+	clusters := make(chan *cluster.Cluster, cfg.Workers)
+	go func() {
+		defer close(clusters)
+		emit := func(cs ...*cluster.Cluster) {
+			for _, c := range cs {
+				pl.Clusters = append(pl.Clusters, c)
+				clusters <- c
+			}
+		}
+		switch {
+		case cfg.Mode == ModeNone:
+			emit(cluster.BuildWhole(prog, sa))
+		case cfg.Mode == ModeSteensgaard:
+			emit(cluster.BuildSteensgaard(prog, sa)...)
+		case cfg.Mode == ModeSyntactic:
+			emit(cluster.BuildSyntactic(prog, sa)...)
+		case of != nil:
+			emit(buildWithOneFlow(prog, sa, of, cfg.AndersenThreshold, cfg.andersenOpts())...)
+		default:
+			for c := range cluster.StreamAndersen(obs.ContextWithTracer(ctx, tr), prog, sa,
+				cfg.AndersenThreshold, cfg.Workers, cfg.andersenOpts()...) {
+				emit(c)
+			}
+		}
+		pl.Timing.Clustering = time.Since(t1)
+		csp.Arg("clusters", len(pl.Clusters)).End()
+	}()
+	return pl, clusters, ready, nil
+}
+
+// BuildPlan runs the front end of the cascade — Steensgaard (plus
+// devirtualization), optional One-Flow, the alias cover, the
+// flow-insensitive fallback and the call graph — and returns the plan
+// without running any per-cluster engine. AnalyzeProgramContext is
+// BuildPlan + AnalyzeFromPlan, except that it starts solving clusters
+// while the cover is still streaming.
+func BuildPlan(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	sp.Arg("clusters", len(pl.Clusters)).End()
-	pl.Timing.Clustering = time.Since(t1)
+	planDefaults(&cfg)
+	pl, clusters, ready, err := startFront(ctx, prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for range clusters {
+	}
+	<-ready
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: analysis cancelled: %w", err)
 	}
-
-	sp = tr.Start("phase", "fallback", obs.TIDMain)
-	pl.Andersen = andersen.Analyze(prog,
-		append(cfg.andersenOpts(), andersen.WithTracer(tr, obs.TIDMain))...)
-	pl.CallGraph = callgraph.Build(prog)
-	sp.End()
-	pl.Andersen.SolverStats().Record(cfg.Metrics)
 	return pl, nil
 }
 
-// AnalyzeFromPlan runs the eager per-cluster FSCS stage over an already
-// built plan, under the fault-tolerant scheduler, and returns the full
-// query facade. This is the serial Stage 2 of AnalyzeProgramContext
-// made callable on its own: the distributed coordinator uses it as the
-// merge pass — with the shard fleet's shared result cache in
-// cfg.Cache, every worker-solved cluster imports instead of solving,
-// and any cluster the fleet failed (lost workers, expired leases)
-// simply solves locally through the usual retry-then-demote ladder.
+// AnalyzeFromPlan runs the per-cluster FSCS stage over an already built
+// plan through the cluster executor and returns the full query facade.
+// The distributed coordinator uses it as the merge pass: with the shard
+// fleet's shared result cache in cfg.Cache, every worker-solved cluster
+// imports instead of solving, and any cluster the fleet failed (lost
+// workers, expired leases) simply solves locally through the usual
+// retry-then-demote ladder.
 func AnalyzeFromPlan(ctx context.Context, pl *Plan, cfg Config) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	planDefaults(&cfg)
 	a := newAnalysis(pl.Prog, cfg)
-	a.Steens = pl.Steens
-	a.Andersen = pl.Andersen
-	a.CallGraph = pl.CallGraph
-	a.Clusters = pl.Clusters
-	a.Timing = pl.Timing
-
-	var cacheBefore cache.Stats
-	if cfg.Cache != nil {
-		cacheBefore = cfg.Cache.Stats()
+	if _, err := a.execute(ctx, pl, sliceStream(pl.Clusters), readyNow, nil); err != nil {
+		return nil, err
 	}
-	finish := func() *Analysis {
-		if cfg.Cache != nil {
-			a.CacheStats = cfg.Cache.Stats().Sub(cacheBefore)
-		}
-		return a
-	}
-	tr := cfg.Tracer
-	prog, sa := pl.Prog, pl.Steens
-
-	// Demand-driven selection, then the hybrid size cut-off: oversized
-	// clusters keep the cheap flow-insensitive answer.
-	work := a.Clusters
-	if cfg.Demand != nil {
-		work = cluster.SelectClusters(a.Clusters, prog, cfg.Demand)
-	}
-	if cfg.HybridSizeLimit > 0 {
-		kept := work[:0:0]
-		for _, c := range work {
-			if c.Size() <= cfg.HybridSizeLimit {
-				kept = append(kept, c)
-			}
-		}
-		work = kept
-	}
-	for _, c := range work {
-		a.selected[c.ID] = c
-		for _, p := range c.Pointers {
-			a.byPointer[p] = append(a.byPointer[p], c.ID)
-		}
-	}
-
-	if cfg.Lazy {
-		// Engines are created (and compute) on first query.
-		return finish(), nil
-	}
-
-	// Stage 2: the precise per-cluster FSCS analyses, in parallel, under
-	// the fault-tolerant scheduler: each cluster gets a wall-clock
-	// deadline and panic isolation, and on failure walks the degradation
-	// ladder (retry with halved knobs, then demote to the fallback) so
-	// one hard or broken cluster degrades only itself, never the run.
-	runCtx := ctx
-	if cfg.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, cfg.RunTimeout)
-		defer cancel()
-	}
-	a.Timing.PerCluster = make([]time.Duration, len(work))
-	engines := make([]*fscs.Engine, len(work))
-	healths := make([]ClusterHealth, len(work))
-
-	tw := time.Now()
-	fsp := tr.Start("phase", "fscs", obs.TIDMain).
-		Arg("clusters", len(work)).Arg("workers", cfg.Workers)
-	if cfg.Workers == 1 {
-		// Single-worker runs execute inline in cover order — no goroutine
-		// scheduling, so a Workers=1 run (and its trace) is deterministic.
-		tr.NameThread(obs.WorkerTID(0), "fscs-worker-0")
-		wctx := obs.ContextWithWorker(runCtx, 0)
-		for i, c := range work {
-			engines[i], healths[i] = RunCluster(wctx, prog, a.CallGraph, sa, c, a.Andersen, cfg)
-			a.Timing.PerCluster[i] = healths[i].Elapsed
-		}
-	} else {
-		// Workers are identities, not just permits: each goroutine borrows
-		// a worker id from the pool so its spans land on that worker's
-		// trace track, and the pool's capacity bounds the parallelism the
-		// way the former semaphore did.
-		var wg sync.WaitGroup
-		ids := make(chan int, cfg.Workers)
-		for w := 0; w < cfg.Workers; w++ {
-			ids <- w
-			tr.NameThread(obs.WorkerTID(w), fmt.Sprintf("fscs-worker-%d", w))
-		}
-		for i, c := range work {
-			wg.Add(1)
-			go func(i int, c *cluster.Cluster) {
-				defer wg.Done()
-				w := <-ids
-				defer func() { ids <- w }()
-				wctx := obs.ContextWithWorker(runCtx, w)
-				engines[i], healths[i] = RunCluster(wctx, prog, a.CallGraph, sa, c, a.Andersen, cfg)
-				a.Timing.PerCluster[i] = healths[i].Elapsed
-			}(i, c)
-		}
-		wg.Wait()
-	}
-	a.Timing.Wall = time.Since(tw)
-	fsp.End()
-	if err := ctx.Err(); err != nil {
-		// Explicit caller cancellation aborts; cfg deadlines never land
-		// here (runCtx expiring only degrades clusters).
-		return nil, fmt.Errorf("core: analysis cancelled: %w", err)
-	}
-	for i, c := range work {
-		if engines[i] != nil {
-			a.engines[c.ID] = engines[i]
-		} else {
-			// Permanently demoted: queries on this cluster's pointers
-			// answer from the Andersen fallback (the HybridSizeLimit
-			// path, generalized). Deselect it so lazy queries cannot
-			// resurrect the engine.
-			delete(a.selected, c.ID)
-		}
-		a.Timing.FSCS += a.Timing.PerCluster[i]
-		a.Health = append(a.Health, healths[i])
-	}
-	sort.Slice(a.Health, func(i, j int) bool { return a.Health[i].ClusterID < a.Health[j].ClusterID })
-	return finish(), nil
+	return a, nil
 }

@@ -46,7 +46,7 @@ const tracePID = 1
 // spans land on stable, named Perfetto tracks:
 //
 //	0        the main goroutine's phase spans
-//	1        the concurrent fallback build (pipelined cascade)
+//	1        the concurrent fallback build (Andersen plus call graph)
 //	100 + w  FSCS scheduler worker w (cluster, attempt and cache spans)
 //	200 + w  clustering-stream worker w (partition refinement spans)
 //	300 + i  alias-daemon query lane i (per-query spans, hashed over lanes)
