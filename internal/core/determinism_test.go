@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bootstrap/internal/cache"
+	"bootstrap/internal/cluster"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 )
@@ -162,6 +163,45 @@ func TestDeterministicAcrossWorkersAndKnobs(t *testing.T) {
 						t.Errorf("fingerprints diverge from workers1:\n%v\n%v", wantFP, fp)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestPipelinedMatchesSerialCover: the cover streamed while clusters are
+// already being solved must be the serial BuildAndersen cover exactly —
+// same clusters, same IDs, same order — and the streamed analysis must
+// answer like a single-worker BuildPlan + AnalyzeFromPlan run, including
+// under demand selection and the hybrid size cut-off.
+func TestPipelinedMatchesSerialCover(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4}},
+		{"demand", Config{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4,
+			Demand: func(v *ir.Var) bool { return v.IsLock }}},
+		{"hybrid", Config{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4, HybridSizeLimit: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			piped := mustAnalyze(t, tc.cfg)
+			serialCover := cluster.BuildAndersen(piped.Prog, piped.Steens, tc.cfg.AndersenThreshold,
+				Config{Workers: 1}.andersenOpts()...)
+			if len(piped.Clusters) != len(serialCover) {
+				t.Fatalf("cover sizes differ: streamed %d vs serial %d", len(piped.Clusters), len(serialCover))
+			}
+			for i, c := range piped.Clusters {
+				s := serialCover[i]
+				if c.ID != s.ID || c.Kind != s.Kind || !reflect.DeepEqual(c.Pointers, s.Pointers) {
+					t.Errorf("cluster %d: streamed {%d %s %v}, serial {%d %s %v}",
+						i, c.ID, c.Kind, c.Pointers, s.ID, s.Kind, s.Pointers)
+				}
+			}
+			serialCfg := tc.cfg
+			serialCfg.Workers = 1
+			serial := mustPlanAnalyze(t, serialCfg)
+			if got, want := aliasDump(piped), aliasDump(serial); got != want {
+				t.Errorf("pipelined cover/results diverge from serial\n--- serial\n%s--- pipelined\n%s", want, got)
 			}
 		})
 	}
