@@ -14,7 +14,7 @@
 //	POST /v1/mayalias {"p":"x","q":"y","at":"main"}
 //	POST /v1/pointsto {"p":"x"}
 //	POST /v1/lockset  {}
-//	POST /check       {"pass":"lockset"}  run a checker pass (lockset,
+//	POST /v1/check    {"pass":"lockset"}  run a checker pass (lockset,
 //	                  deadlock, nullcheck, uaf) against the live snapshot;
 //	                  findings carry aliaslint fingerprints + snapshot id
 //	GET  /v1/info     GET /v1/vars

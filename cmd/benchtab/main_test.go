@@ -63,8 +63,9 @@ func TestRunSweepSmoke(t *testing.T) {
 
 // TestRunFSCSJSONAndAssert exercises the whole bench-gate loop end to
 // end: measure a cold report into a warm cache directory, re-measure
-// (now fully warm), then run the -assert gate fresh-vs-fresh, which must
-// pass by construction.
+// (now fully warm), then gate the second report against the first. The
+// two are measured independently, so this checks the counts really are
+// reproducible.
 func TestRunFSCSJSONAndAssert(t *testing.T) {
 	dir := t.TempDir()
 	basePath := filepath.Join(dir, "base.json")
@@ -95,11 +96,11 @@ func TestRunFSCSJSONAndAssert(t *testing.T) {
 
 	resetFlags()
 	_ = flag.Set("assert", "true")
-	_ = flag.Set("baseline", freshPath)
+	_ = flag.Set("baseline", basePath)
 	_ = flag.Set("fresh", freshPath)
 	var out bytes.Buffer
 	if err := run(&out); err != nil {
-		t.Fatalf("self-assert should pass: %v", err)
+		t.Fatalf("fresh against an independent base should pass: %v", err)
 	}
 	if !strings.Contains(out.String(), "bench gate") {
 		t.Errorf("missing gate summary:\n%s", out.String())
@@ -108,11 +109,11 @@ func TestRunFSCSJSONAndAssert(t *testing.T) {
 
 func TestRunAssertSeededRegression(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, cluster float64) string {
+	write := func(name string, tuples int64) string {
 		rep := bench.FSCSPerfReport{
-			Scale: 0.12, Reps: 3,
+			GoVersion: "1.24", Scale: 0.12, Reps: 3,
 			Points: []bench.FSCSPerfPoint{{
-				Bench: "sock", ClusterSpeedup: cluster, ProgramSpeedup: 2.5, CacheHitRate: 1.0,
+				Bench: "sock", Workers: 1, FSCSTuples: tuples, Allocs: 20000, CacheHitRate: 1.0,
 			}},
 		}
 		path := filepath.Join(dir, name)
@@ -126,8 +127,8 @@ func TestRunAssertSeededRegression(t *testing.T) {
 		f.Close()
 		return path
 	}
-	base := write("base.json", 3.0)
-	regressed := write("fresh.json", 3.0*0.8) // seeded >15% regression
+	base := write("base.json", 5000)
+	regressed := write("fresh.json", 5001) // seeded work-counter regression
 
 	resetFlags()
 	_ = flag.Set("assert", "true")
@@ -135,7 +136,7 @@ func TestRunAssertSeededRegression(t *testing.T) {
 	_ = flag.Set("fresh", regressed)
 	var out bytes.Buffer
 	if err := run(&out); err == nil {
-		t.Fatal("seeded 20% regression must fail the gate")
+		t.Fatal("seeded fscs_tuples regression must fail the gate")
 	}
 
 	resetFlags()

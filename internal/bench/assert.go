@@ -7,13 +7,13 @@ import (
 	"os"
 )
 
-// SpeedupTolerance is the bench-regression gate's allowance: a fresh
-// report's speedup ratio may fall at most this fraction below the
-// committed baseline's before the gate fails. Speedups are ratios of two
-// measurements from the same machine, so they transfer across hardware
-// in a way absolute nanoseconds never do; 15% absorbs ordinary runner
-// noise while still catching a real regression of either hot path.
-const SpeedupTolerance = 0.15
+// AllocTolerance is the bench gate's allowance on allocation counts: a
+// fresh report's allocs or alloc_bytes may exceed the committed
+// baseline's by at most this fraction. Repeated runs of one build on
+// one Go release spread well under 1%, so 5% leaves headroom for
+// runtime scheduling while still catching a lost optimization (turning
+// off the condition memo tables adds over 50% on mt_daapd).
+const AllocTolerance = 0.05
 
 // ReadFSCSJSON parses a BENCH_fscs.json report from r.
 func ReadFSCSJSON(r io.Reader) (FSCSPerfReport, error) {
@@ -44,47 +44,69 @@ func ReadFSCSJSONFile(path string) (FSCSPerfReport, error) {
 // AssertFSCS is the CI bench-regression gate: it compares a freshly
 // measured report against the committed baseline and returns one error
 // per violated invariant (nil when everything holds). Checked per
-// baseline workload:
+// baseline (workload, workers) row:
 //
-//   - the workload still exists in the fresh report;
-//   - cluster_speedup and program_speedup have not fallen more than
-//     SpeedupTolerance below the baseline's (cold-path regressions);
+//   - the row still exists in the fresh report;
+//   - no work counter (fscs_tuples, fscs_summaries, andersen_passes,
+//     andersen_delta_edges_fired) exceeds the baseline's: the cascade is
+//     deterministic, so any growth is a real change in the work done;
+//   - allocs and alloc_bytes are at most AllocTolerance above the
+//     baseline's, provided both reports come from the same Go release
+//     (a mismatch is itself an error: re-record the baseline);
 //   - cache_hit_rate is exactly 1.0 — the fresh report must come from a
 //     warm rerun, where anything short of a full hit means the cache's
-//     fingerprinting or import path broke.
+//     fingerprinting or import path broke;
+//   - the partition histograms stay coherent.
 //
-// Absolute nanoseconds are deliberately not compared: they measure the
+// Wall-clock columns are deliberately not compared: they measure the
 // runner, not the code.
 func AssertFSCS(baseline, fresh FSCSPerfReport) []error {
-	// Points are keyed by (bench, workers). A pre-PR-7 baseline has no
-	// workers column (0 = "whatever GOMAXPROCS was"); its rows are held
-	// against the fresh Workers=8 measurements, the closest successor.
+	var errs []error
+	sameGo := baseline.GoVersion == fresh.GoVersion
+	if !sameGo {
+		errs = append(errs, fmt.Errorf("fresh report measured under Go %q, baseline under Go %q: allocation counts differ between Go releases; re-record with `make bench-baseline`",
+			fresh.GoVersion, baseline.GoVersion))
+	}
 	key := func(p FSCSPerfPoint) string { return fmt.Sprintf("%s/w%d", p.Bench, p.Workers) }
 	freshBy := make(map[string]FSCSPerfPoint, len(fresh.Points))
 	for _, p := range fresh.Points {
 		freshBy[key(p)] = p
 	}
-	var errs []error
 	for _, base := range baseline.Points {
 		name := key(base)
 		p, ok := freshBy[name]
-		cluster := p
-		if !ok && base.Workers == 0 {
-			// Legacy row: program columns against w8, but the per-cluster
-			// engine columns live only in the w1 row.
-			p, ok = freshBy[fmt.Sprintf("%s/w8", base.Bench)]
-			cluster = freshBy[fmt.Sprintf("%s/w1", base.Bench)]
-		}
 		if !ok {
 			errs = append(errs, fmt.Errorf("%s: missing from the fresh report", name))
 			continue
 		}
-		if base.Workers != 0 {
-			cluster = p
+		for _, c := range []struct {
+			col       string
+			base, got int64
+			tolerance float64
+		}{
+			{"fscs_tuples", base.FSCSTuples, p.FSCSTuples, 0},
+			{"fscs_summaries", base.FSCSSummaries, p.FSCSSummaries, 0},
+			{"andersen_passes", base.AndersenPasses, p.AndersenPasses, 0},
+			{"andersen_delta_edges_fired", base.AndersenDeltaEdgesFired, p.AndersenDeltaEdgesFired, 0},
+			{"allocs", base.Allocs, p.Allocs, AllocTolerance},
+			{"alloc_bytes", base.AllocBytes, p.AllocBytes, AllocTolerance},
+		} {
+			switch {
+			case c.base <= 0:
+				// The baseline row never measured this column.
+			case c.tolerance > 0 && !sameGo:
+				// Another Go release's allocations are not comparable;
+				// the version mismatch is already reported.
+			case c.got <= 0:
+				errs = append(errs, fmt.Errorf("%s: %s not measured (baseline %d)", name, c.col, c.base))
+			case c.tolerance == 0 && c.got > c.base:
+				errs = append(errs, fmt.Errorf("%s: %s = %d, above the baseline %d (work counters are deterministic and may not grow)",
+					name, c.col, c.got, c.base))
+			case float64(c.got) > float64(c.base)*(1+c.tolerance):
+				errs = append(errs, fmt.Errorf("%s: %s = %d, %.1f%% above the baseline %d (allowed %.0f%%)",
+					name, c.col, c.got, 100*(float64(c.got)/float64(c.base)-1), c.base, 100*c.tolerance))
+			}
 		}
-		errs = append(errs,
-			checkSpeedup(name, "cluster_speedup", base.ClusterSpeedup, cluster.ClusterSpeedup),
-			checkSpeedup(name, "program_speedup", base.ProgramSpeedup, p.ProgramSpeedup))
 		if p.CacheHitRate != 1.0 {
 			errs = append(errs, fmt.Errorf("%s: cache_hit_rate = %.2f, want 1.0 (warm rerun must import every cluster)",
 				name, p.CacheHitRate))
@@ -94,32 +116,14 @@ func AssertFSCS(baseline, fresh FSCSPerfReport) []error {
 		// partitioner must not regress past the default's max partition.
 		if base.PartitionMax > 0 {
 			switch {
-			case cluster.PartitionMax <= 0 || cluster.PartitionP50 > cluster.PartitionP90 || cluster.PartitionP90 > cluster.PartitionMax:
+			case p.PartitionMax <= 0 || p.PartitionP50 > p.PartitionP90 || p.PartitionP90 > p.PartitionMax:
 				errs = append(errs, fmt.Errorf("%s: incoherent partition histogram p50=%d p90=%d max=%d",
-					name, cluster.PartitionP50, cluster.PartitionP90, cluster.PartitionMax))
-			case cluster.PrecisePartitionMax <= 0 || cluster.PrecisePartitionMax > cluster.PartitionMax:
+					name, p.PartitionP50, p.PartitionP90, p.PartitionMax))
+			case p.PrecisePartitionMax <= 0 || p.PrecisePartitionMax > p.PartitionMax:
 				errs = append(errs, fmt.Errorf("%s: precise_partition_max = %d, want in (0, %d] (oversharing fix regressed)",
-					name, cluster.PrecisePartitionMax, cluster.PartitionMax))
+					name, p.PrecisePartitionMax, p.PartitionMax))
 			}
 		}
 	}
-	out := errs[:0]
-	for _, e := range errs {
-		if e != nil {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func checkSpeedup(bench, name string, base, got float64) error {
-	if base <= 0 {
-		return nil // baseline never measured this column; nothing to hold
-	}
-	floor := base * (1 - SpeedupTolerance)
-	if got < floor {
-		return fmt.Errorf("%s: %s = %.2fx, more than %.0f%% below the baseline %.2fx (floor %.2fx)",
-			bench, name, got, SpeedupTolerance*100, base, floor)
-	}
-	return nil
+	return errs
 }

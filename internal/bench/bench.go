@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"bootstrap/internal/andersen"
 	"bootstrap/internal/cache"
 	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
@@ -229,9 +230,10 @@ func RunRow(b synth.Benchmark, opt Options) (Row, error) {
 	row.SteensHealth = shc
 	row.SteensFSCS = core.SimulateParallel(steensCover, stimes, opt.Parts)
 
-	// Columns 5, 10-12: Andersen clustering.
+	// Columns 5, 10-12: Andersen clustering, timed with the solver the
+	// cascade runs at Workers=1 (difference propagation).
 	t1 := time.Now()
-	andersenCover := cluster.BuildAndersen(prog, sa, opt.threshold())
+	andersenCover := cluster.BuildAndersen(prog, sa, opt.threshold(), andersen.WithDeltaPropagation())
 	row.ClusterTime = time.Since(t1)
 	as := cluster.CoverStats(andersenCover)
 	row.AndersenNum, row.AndersenMax = as.NumClusters, as.MaxSize
@@ -467,7 +469,7 @@ func ThresholdSweep(b synth.Benchmark, thresholds []int, opt Options) ([]Thresho
 	var out []ThresholdPoint
 	for _, th := range thresholds {
 		t0 := time.Now()
-		cover := cluster.BuildAndersen(prog, sa, th)
+		cover := cluster.BuildAndersen(prog, sa, th, andersen.WithDeltaPropagation())
 		ct := time.Since(t0)
 		stats := cluster.CoverStats(cover)
 		times, _ := runCover(prog, cg, sa, cover, 0, opt, nil)

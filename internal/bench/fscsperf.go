@@ -9,11 +9,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
+	"strings"
 	"time"
 
-	"bootstrap/internal/andersen"
-	"bootstrap/internal/bench/legacyfscs"
 	"bootstrap/internal/cache"
 	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
@@ -21,32 +19,29 @@ import (
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/fscs"
 	"bootstrap/internal/ir"
+	"bootstrap/internal/obs"
 	"bootstrap/internal/steens"
 	"bootstrap/internal/synth"
 )
 
-// FSCSPerfPoint is one workload's measurement of the PR's two hot-path
-// optimizations against the frozen pre-PR baseline (legacyfscs): the
-// per-cluster engine comparison (interned integer-keyed summaries vs
-// string-keyed maps with the per-round sorted worklist) and the
-// whole-program comparison (pipelined cascade + interned engines vs the
-// serial cascade + legacy engines).
+// FSCSPerfPoint is one workload's measurement of the FSCS hot path at
+// one parallelism. The work and allocation counts are deterministic
+// for a given program and Go release, so they are what the bench gate
+// holds; the wall-clock columns are reported for the trajectory only.
 type FSCSPerfPoint struct {
 	Bench    string `json:"bench"`
 	Pointers int    `json:"pointers"`
 	Clusters int    `json:"clusters"`
 	// Workers is this row's parallelism: each workload is measured at
-	// Workers=1 (the serial trajectory older baselines recorded) and
-	// Workers=8 (where the parallel wave-front solve and the pipelined
-	// cascade earn their keep). Zero in a pre-PR-7 baseline file means
-	// "whatever GOMAXPROCS was"; AssertFSCS matches those rows against
-	// the fresh Workers=8 measurements.
+	// Workers=1 (the serial trajectory) and Workers=8 (where the
+	// parallel wave-front solve and the pipelined cascade earn their
+	// keep).
 	Workers int `json:"workers,omitempty"`
 
 	// Partition- and cluster-size shape of the workload (Workers=1 row
 	// only; the shape is workers-independent). PrecisePartitionMax is
 	// MaxPartitionSize under the oversharing-resistant -steens-precise
-	// partitioner, the column the PR-7 acceptance criterion watches.
+	// partitioner.
 	PartitionP50        int `json:"partition_p50,omitempty"`
 	PartitionP90        int `json:"partition_p90,omitempty"`
 	PartitionMax        int `json:"partition_max,omitempty"`
@@ -55,13 +50,20 @@ type FSCSPerfPoint struct {
 	ClusterP90          int `json:"cluster_p90,omitempty"`
 	ClusterMax          int `json:"cluster_max,omitempty"`
 
-	InternedClusterNS int64   `json:"interned_cluster_ns"`
-	LegacyClusterNS   int64   `json:"legacy_cluster_ns"`
-	ClusterSpeedup    float64 `json:"cluster_speedup"`
+	// Work and allocation counts of one cold, cache-free, Workers=1
+	// whole-program analysis (Workers=1 row only): the runtime's
+	// Mallocs/TotalAlloc deltas and the cascade's own work counters.
+	Allocs                  int64 `json:"allocs,omitempty"`
+	AllocBytes              int64 `json:"alloc_bytes,omitempty"`
+	FSCSTuples              int64 `json:"fscs_tuples,omitempty"`
+	FSCSSummaries           int64 `json:"fscs_summaries,omitempty"`
+	AndersenPasses          int64 `json:"andersen_passes,omitempty"`
+	AndersenDeltaEdgesFired int64 `json:"andersen_delta_edges_fired,omitempty"`
 
-	PipelinedProgramNS int64   `json:"pipelined_program_ns"`
-	BaselineProgramNS  int64   `json:"baseline_program_ns"`
-	ProgramSpeedup     float64 `json:"program_speedup"`
+	// Best-of-reps wall clock: every cover cluster's engine run serially
+	// (Workers=1 row only), and the cold whole-program analysis.
+	InternedClusterNS  int64 `json:"interned_cluster_ns"`
+	PipelinedProgramNS int64 `json:"pipelined_program_ns"`
 
 	// The warm columns measure the content-addressed result cache: the
 	// whole-program analysis re-run against a fully warm cache, its
@@ -77,9 +79,11 @@ type FSCSPerfPoint struct {
 // FSCSPerfReport is the BENCH_fscs.json payload: one point per workload
 // in fixed cover order, plus the knobs the numbers were taken under so
 // future PRs can tell whether a trajectory change is real or a config
-// drift.
+// drift. GoVersion is the toolchain's major.minor release: allocation
+// counts are only comparable between reports of the same release.
 type FSCSPerfReport struct {
 	Date      string          `json:"date"`
+	GoVersion string          `json:"go_version"`
 	Scale     float64         `json:"scale"`
 	Threshold int             `json:"threshold"`
 	Workers   int             `json:"workers"`
@@ -103,39 +107,44 @@ func timeCover(reps int, sweep func()) time.Duration {
 	return best
 }
 
-// LegacyAnalyzeProgram replays the pre-PR whole-program shape: the
-// clustering cascade runs serially to completion, and only then do
-// worker goroutines start the (string-keyed) FSCS engines. This is the
-// baseline side of the ProgramSpeedup column and of the root
-// BenchmarkAnalyzeProgram comparison.
-func LegacyAnalyzeProgram(prog *ir.Program, threshold, workers int) {
-	sa := steens.Analyze(prog)
-	_ = andersen.Analyze(prog)
-	cg := callgraph.Build(prog)
-	cover := cluster.BuildAndersen(prog, sa, threshold)
+// goMinor is the running toolchain's major.minor release, "1.24" for
+// go1.24.0.
+func goMinor() string {
+	v := strings.TrimPrefix(runtime.Version(), "go")
+	if i := strings.IndexByte(v, '.'); i >= 0 {
+		if j := strings.IndexByte(v[i+1:], '.'); j >= 0 {
+			return v[:i+1+j]
+		}
+	}
+	return v
+}
 
-	jobs := make(chan *cluster.Cluster)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range jobs {
-				eng := legacyfscs.NewEngine(prog, cg, sa, c)
-				_ = eng.Run()
-			}
-		}()
+// countWork fills p's work and allocation counts from one cold run of
+// cfg (which must carry no cache) with a private metrics registry.
+func countWork(prog *ir.Program, cfg core.Config, p *FSCSPerfPoint) error {
+	m := obs.NewMetrics()
+	cfg.Metrics = m
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := core.AnalyzeProgramContext(context.Background(), prog, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return err
 	}
-	for _, c := range cover {
-		jobs <- c
-	}
-	close(jobs)
-	wg.Wait()
+	p.Allocs = int64(after.Mallocs - before.Mallocs)
+	p.AllocBytes = int64(after.TotalAlloc - before.TotalAlloc)
+	count := func(name string) int64 { return m.Counter(name, "").Value() }
+	p.FSCSTuples = count("bootstrap_fscs_tuples_total")
+	p.FSCSSummaries = count("bootstrap_fscs_summaries_total")
+	p.AndersenPasses = count("bootstrap_andersen_passes_total")
+	p.AndersenDeltaEdgesFired = count("bootstrap_andersen_delta_edges_fired_total")
+	return nil
 }
 
 // fscsWorkersAxis is the parallelism dimension of the report: the serial
-// trajectory older baselines recorded, and the width where the parallel
-// wave-front solve and the pipelined cascade earn their keep.
+// trajectory, and the width where the parallel wave-front solve and the
+// pipelined cascade earn their keep.
 var fscsWorkersAxis = [2]int{1, 8}
 
 // SizeHist summarizes a size distribution with the three quantiles the
@@ -161,14 +170,12 @@ func SizeHist(sizes []int) (p50, p90, max int) {
 // fixed cover order so successive BENCH_fscs.json files diff cleanly),
 // at each parallelism of fscsWorkersAxis. reps < 1 defaults to 3.
 //
-// The optimized (pipelined) side runs the default PR-7 configuration —
-// delta propagation and the parallel wave-front solve above its default
-// threshold; the baseline side is the frozen legacy cascade. The
-// oversharing-resistant precise partitioner is measured separately (the
-// precise_partition_max column): its overlapping cover shrinks the worst
-// partition but enlarges the cluster cover, so it is a precision knob,
-// not part of the timed fast path. The knobs make any column
-// reproducible in isolation from the bootstrap CLI.
+// The whole-program runs use the default configuration — delta
+// propagation and the parallel wave-front solve above its default
+// threshold. The oversharing-resistant precise partitioner is measured
+// separately (the precise_partition_max column): its overlapping cover
+// shrinks the worst partition but enlarges the cluster cover, so it is
+// a precision knob, not part of the timed fast path.
 func FSCSPerf(benches []synth.Benchmark, opt Options, reps int, w io.Writer) (FSCSPerfReport, error) {
 	opt.fill()
 	if reps < 1 {
@@ -176,6 +183,7 @@ func FSCSPerf(benches []synth.Benchmark, opt Options, reps int, w io.Writer) (FS
 	}
 	report := FSCSPerfReport{
 		Date:      time.Now().UTC().Format("2006-01-02"),
+		GoVersion: goMinor(),
 		Scale:     opt.Scale,
 		Threshold: opt.threshold(),
 		Workers:   runtime.GOMAXPROCS(0),
@@ -191,17 +199,11 @@ func FSCSPerf(benches []synth.Benchmark, opt Options, reps int, w io.Writer) (FS
 		cover := cluster.BuildAndersen(prog, sa, opt.threshold())
 
 		// Workers-independent columns, measured once and reported in the
-		// Workers=1 row: the per-cluster engine comparison and the
+		// Workers=1 row: the serial engine sweep over the cover and the
 		// partition/cluster shape histograms.
 		internedNS := int64(timeCover(reps, func() {
 			for _, c := range cover {
 				eng := fscs.NewEngine(prog, cg, sa, c)
-				_ = eng.Run()
-			}
-		}))
-		legacyNS := int64(timeCover(reps, func() {
-			for _, c := range cover {
-				eng := legacyfscs.NewEngine(prog, cg, sa, c)
 				_ = eng.Run()
 			}
 		}))
@@ -221,15 +223,6 @@ func FSCSPerf(benches []synth.Benchmark, opt Options, reps int, w io.Writer) (FS
 				Clusters: len(cover),
 				Workers:  workers,
 			}
-			if wi == 0 {
-				p.InternedClusterNS = internedNS
-				p.LegacyClusterNS = legacyNS
-				p.ClusterSpeedup = ratio(legacyNS, internedNS)
-				p.PartitionP50, p.PartitionP90, p.PartitionMax = SizeHist(partSizes)
-				p.ClusterP50, p.ClusterP90, p.ClusterMax = SizeHist(clusterSizes)
-				p.PrecisePartitionMax = preciseMax
-			}
-
 			cfg := core.Config{
 				Mode:              core.ModeAndersen,
 				Workers:           workers,
@@ -240,10 +233,17 @@ func FSCSPerf(benches []synth.Benchmark, opt Options, reps int, w io.Writer) (FS
 					panic(err) // synthetic workloads never fail to analyze
 				}
 			}))
-			p.BaselineProgramNS = int64(timeCover(reps, func() {
-				LegacyAnalyzeProgram(prog, opt.threshold(), workers)
-			}))
-			p.ProgramSpeedup = ratio(p.BaselineProgramNS, p.PipelinedProgramNS)
+			if wi == 0 {
+				p.InternedClusterNS = internedNS
+				p.PartitionP50, p.PartitionP90, p.PartitionMax = SizeHist(partSizes)
+				p.ClusterP50, p.ClusterP90, p.ClusterMax = SizeHist(clusterSizes)
+				p.PrecisePartitionMax = preciseMax
+				// After the timed runs, so one-time process setup is not
+				// counted.
+				if err := countWork(prog, cfg, &p); err != nil {
+					return report, fmt.Errorf("fscsperf %s: %w", b.Name, err)
+				}
+			}
 
 			// Warm rerun against the result cache, one cache subtree per
 			// workers column so each row's first cache-enabled run sees the
@@ -271,10 +271,12 @@ func FSCSPerf(benches []synth.Benchmark, opt Options, reps int, w io.Writer) (FS
 			p.WarmSpeedup = ratio(p.PipelinedProgramNS, p.WarmProgramNS)
 
 			if w != nil {
-				fmt.Fprintf(w, "%-16s w%-2d cluster %6.2fx (%.1fms -> %.1fms)  program %6.2fx (%.1fms -> %.1fms)  warm %6.2fx (%.1fms, hit rate %.2f)\n",
-					b.Name, workers, p.ClusterSpeedup, ms(p.LegacyClusterNS), ms(p.InternedClusterNS),
-					p.ProgramSpeedup, ms(p.BaselineProgramNS), ms(p.PipelinedProgramNS),
-					p.WarmSpeedup, ms(p.WarmProgramNS), p.CacheHitRate)
+				fmt.Fprintf(w, "%-16s w%-2d program %.1fms  warm %.1fms (%.2fx, hit rate %.2f)",
+					b.Name, workers, ms(p.PipelinedProgramNS), ms(p.WarmProgramNS), p.WarmSpeedup, p.CacheHitRate)
+				if wi == 0 {
+					fmt.Fprintf(w, "  cluster %.1fms  allocs %d  tuples %d", ms(p.InternedClusterNS), p.Allocs, p.FSCSTuples)
+				}
+				fmt.Fprintln(w)
 			}
 			report.Points = append(report.Points, p)
 		}

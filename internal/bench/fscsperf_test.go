@@ -3,14 +3,9 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
-	"bootstrap/internal/bench/legacyfscs"
-	"bootstrap/internal/callgraph"
-	"bootstrap/internal/cluster"
-	"bootstrap/internal/frontend"
-	"bootstrap/internal/fscs"
-	"bootstrap/internal/steens"
 	"bootstrap/internal/synth"
 )
 
@@ -47,12 +42,13 @@ func TestFSCSPerfReport(t *testing.T) {
 		if p.Clusters <= 0 || p.Pointers <= 0 {
 			t.Errorf("%s: empty shape: %+v", p.Bench, p)
 		}
-		if p.ProgramSpeedup <= 0 {
-			t.Errorf("%s/w%d: program speedup not computed: %+v", p.Bench, p.Workers, p)
+		if p.PipelinedProgramNS <= 0 || p.WarmProgramNS <= 0 {
+			t.Errorf("%s/w%d: program times not measured: %+v", p.Bench, p.Workers, p)
 		}
 		if wi == 0 {
-			if p.ClusterSpeedup <= 0 {
-				t.Errorf("%s/w%d: cluster speedup not computed: %+v", p.Bench, p.Workers, p)
+			if p.InternedClusterNS <= 0 || p.Allocs <= 0 || p.AllocBytes <= 0 ||
+				p.FSCSTuples <= 0 || p.FSCSSummaries <= 0 || p.AndersenPasses <= 0 {
+				t.Errorf("%s/w%d: work or allocation counts not measured: %+v", p.Bench, p.Workers, p)
 			}
 			if p.PartitionMax <= 0 || p.ClusterMax <= 0 ||
 				p.PartitionP50 > p.PartitionP90 || p.PartitionP90 > p.PartitionMax ||
@@ -62,9 +58,12 @@ func TestFSCSPerfReport(t *testing.T) {
 			if p.PrecisePartitionMax <= 0 || p.PrecisePartitionMax > p.PartitionMax {
 				t.Errorf("%s: precise partition max %d outside (0, %d]", p.Bench, p.PrecisePartitionMax, p.PartitionMax)
 			}
-		} else if p.ClusterSpeedup != 0 || p.PartitionMax != 0 {
-			t.Errorf("%s/w%d: workers-independent columns duplicated: %+v", p.Bench, p.Workers, p)
+		} else if p.InternedClusterNS != 0 || p.Allocs != 0 || p.FSCSTuples != 0 || p.PartitionMax != 0 {
+			t.Errorf("%s/w%d: Workers=1-only columns set: %+v", p.Bench, p.Workers, p)
 		}
+	}
+	if rep.GoVersion == "" || strings.Count(rep.GoVersion, ".") != 1 {
+		t.Errorf("go_version = %q, want major.minor", rep.GoVersion)
 	}
 	var buf bytes.Buffer
 	if err := WriteFSCSJSON(&buf, rep); err != nil {
@@ -76,44 +75,5 @@ func TestFSCSPerfReport(t *testing.T) {
 	}
 	if len(back.Points) != len(rep.Points) || back.Scale != rep.Scale {
 		t.Errorf("round-trip mismatch: %+v vs %+v", back, rep)
-	}
-}
-
-// TestLegacyEngineAgrees keeps the benchmark honest: the frozen baseline
-// and the interned engine must still answer points-to queries
-// identically, otherwise the speedup columns compare different analyses.
-func TestLegacyEngineAgrees(t *testing.T) {
-	for _, row := range perfRows(t, "sock", "ctrace") {
-		prog, err := frontend.LowerSource(synth.Generate(row, 0.05))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sa := steens.Analyze(prog)
-		cg := callgraph.Build(prog)
-		exit := prog.Func(prog.Entry).Exit
-		for _, c := range cluster.BuildAndersen(prog, sa, 8) {
-			neu := fscs.NewEngine(prog, cg, sa, c)
-			old := legacyfscs.NewEngine(prog, cg, sa, c)
-			if err := neu.Run(); err != nil {
-				t.Fatalf("%s cluster %d: interned run: %v", row.Name, c.ID, err)
-			}
-			if err := old.Run(); err != nil {
-				t.Fatalf("%s cluster %d: legacy run: %v", row.Name, c.ID, err)
-			}
-			for _, p := range c.Pointers {
-				gotObjs, gotOK := neu.PointsToAt(p, exit)
-				wantObjs, wantOK := old.PointsToAt(p, exit)
-				if gotOK != wantOK || len(gotObjs) != len(wantObjs) {
-					t.Fatalf("%s cluster %d ptr %d: interned (%v,%v) vs legacy (%v,%v)",
-						row.Name, c.ID, p, gotObjs, gotOK, wantObjs, wantOK)
-				}
-				for i := range gotObjs {
-					if gotObjs[i] != wantObjs[i] {
-						t.Fatalf("%s cluster %d ptr %d: interned %v vs legacy %v",
-							row.Name, c.ID, p, gotObjs, wantObjs)
-					}
-				}
-			}
-		}
 	}
 }

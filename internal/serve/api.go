@@ -105,7 +105,7 @@ type LocksetResponse struct {
 	RetryAfterMS int64    `json:"retry_after_ms,omitempty"`
 }
 
-// CheckRequest is the body of POST /check (and /v1/check): run one
+// CheckRequest is the body of POST /v1/check: run one
 // named static-analysis pass against the live snapshot.
 type CheckRequest struct {
 	// Pass names the checker pass: lockset, deadlock, nullcheck or uaf.
@@ -127,7 +127,7 @@ type CheckFinding struct {
 	Snapshot    int64  `json:"snapshot"`
 }
 
-// CheckResponse is the body of POST /check. Like /v1/lockset the pass
+// CheckResponse is the body of POST /v1/check. Like /v1/lockset the pass
 // runs once per (snapshot, pass) pair; a request whose deadline fires
 // first gets ready=false and a retry hint while the run continues
 // server-side.

@@ -14,7 +14,7 @@ import (
 	"bootstrap/internal/synth"
 )
 
-// TestCheckEndpoint: POST /check runs a pass against the live snapshot,
+// TestCheckEndpoint: POST /v1/check runs a pass against the live snapshot,
 // stamps findings with the snapshot id, and produces exactly the batch
 // checker's fingerprints for the same source.
 func TestCheckEndpoint(t *testing.T) {
@@ -28,15 +28,15 @@ func TestCheckEndpoint(t *testing.T) {
 		// solve; retry until the memoized run lands.
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			code := do(t, s, "POST", "/check", `{"pass":"`+pass+`"}`, &resp)
+			code := do(t, s, "POST", "/v1/check", `{"pass":"`+pass+`"}`, &resp)
 			if code != http.StatusOK {
-				t.Fatalf("/check %s: status %d", pass, code)
+				t.Fatalf("/v1/check %s: status %d", pass, code)
 			}
 			if resp.Ready {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("/check %s: never became ready", pass)
+				t.Fatalf("/v1/check %s: never became ready", pass)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -66,7 +66,7 @@ func TestCheckEndpoint(t *testing.T) {
 			}
 		}
 		if !foundBug {
-			t.Errorf("seeded %s on %s not found via /check", bug.Rule, bug.Var)
+			t.Errorf("seeded %s on %s not found via /v1/check", bug.Rule, bug.Var)
 		}
 	}
 
@@ -102,19 +102,24 @@ func TestCheckEndpoint(t *testing.T) {
 	}
 }
 
-// TestCheckUnknownPass: a bad pass name is a 400, not a 500.
+// TestCheckUnknownPass: a bad pass name is a 400, not a 500, and a
+// request to the unversioned path is a 404.
 func TestCheckUnknownPass(t *testing.T) {
 	src, _ := synth.LockHeavy(synth.LockHeavyWorkloads()[0].Cfg)
 	s := newTestServer(t, src, nil)
-	if code := do(t, s, "POST", "/check", `{"pass":"nosuch"}`, nil); code != http.StatusBadRequest {
+	if code := do(t, s, "POST", "/v1/check", `{"pass":"nosuch"}`, nil); code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", code)
+	}
+	// The checker lives only under /v1: the unversioned path is unrouted.
+	if code := do(t, s, "POST", "/check", `{"pass":"lockset"}`, nil); code != http.StatusNotFound {
+		t.Fatalf("unversioned /check: status %d, want 404", code)
 	}
 }
 
-// TestCheckNoSnapshot: /check before any Load is a 503.
+// TestCheckNoSnapshot: /v1/check before any Load is a 503.
 func TestCheckNoSnapshot(t *testing.T) {
 	s := newTestServer(t, "", nil)
-	if code := do(t, s, "POST", "/check", `{"pass":"lockset"}`, nil); code != http.StatusServiceUnavailable {
+	if code := do(t, s, "POST", "/v1/check", `{"pass":"lockset"}`, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", code)
 	}
 }
@@ -127,14 +132,14 @@ func TestCheckMemoized(t *testing.T) {
 	s := newTestServer(t, src, nil)
 	var first CheckResponse
 	for {
-		do(t, s, "POST", "/check", `{"pass":"uaf"}`, &first)
+		do(t, s, "POST", "/v1/check", `{"pass":"uaf"}`, &first)
 		if first.Ready {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	var second CheckResponse
-	if code := do(t, s, "POST", "/check", `{"pass":"uaf","timeout_ms":1}`, &second); code != http.StatusOK {
+	if code := do(t, s, "POST", "/v1/check", `{"pass":"uaf","timeout_ms":1}`, &second); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if !second.Ready {

@@ -19,7 +19,7 @@ import (
 //	POST /v1/mayalias   {"p":..,"q":..,"at":..}        may-alias query
 //	POST /v1/pointsto   {"p":..,"at":..}               points-to query
 //	POST /v1/lockset    {}                             race report (computed once per snapshot)
-//	POST /check         {"pass":"lockset"}             run one checker pass (also /v1/check)
+//	POST /v1/check      {"pass":"lockset"}             run one checker pass
 //	GET  /v1/info                                      snapshot + server state
 //	GET  /v1/vars                                      query population for load drivers
 //	POST /reload        {"source":..} | {"variant":n}  snapshot swap
@@ -44,7 +44,6 @@ func (s *Server) Handler() http.Handler {
 		})
 		mux.HandleFunc("POST /v1/lockset", s.handleLockset)
 		mux.HandleFunc("POST /v1/check", s.handleCheck)
-		mux.HandleFunc("POST /check", s.handleCheck)
 		mux.HandleFunc("GET /v1/info", s.handleInfo)
 		mux.HandleFunc("GET /v1/vars", s.handleVars)
 		mux.HandleFunc("POST /reload", s.handleReload)
