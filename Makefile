@@ -19,25 +19,21 @@ BENCHTAB_ARGS = -rows $(BENCH_ROWS) -scale $(BENCH_SCALE) -cache-dir .benchcache
 SERVE_ADDR  = 127.0.0.1:7411
 SERVE_BENCH = sock
 
-# The shard bench distributes the eager solve across worker processes
-# and gates on the coordinator's accounting: every cluster completed,
-# results bit-identical to a single-process solve, the eager-phase
-# speedup floor held, and work stealing never behind static binning.
-SHARD_ROWS  = autofs
-SHARD_SCALE = 0.5
-
 # Timed phase of each repository-benchmark run, in seconds.
 BENCHMARK_SECONDS ?= 15
 
-.PHONY: all build test race vet fmt staticcheck lint check benchmark benchmark-selftest bench-fresh bench bench-baseline serve-bench shard-bench shard-baseline checker-bench checker-baseline incremental-bench incremental-baseline examples
+.PHONY: all build test race vet fmt staticcheck lint check benchmark benchmark-selftest bench-fresh bench bench-baseline serve-bench checker-bench checker-baseline incremental-bench incremental-baseline examples
 
 all: check
 
 build:
 	$(GO) build ./...
 
+# vet covers both modules: the root module and the repository
+# benchmark's own module under benchmark/.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -100,18 +96,6 @@ bench: bench-fresh
 # baseline was taken with).
 bench-baseline: bench-fresh
 	mv BENCH_fresh.json BENCH_fscs.json
-
-# shard-bench is CI's distributed-execution gate: a fresh 2-shard
-# work-stealing run (real worker processes over the shared result
-# cache) on one large workload, asserted for completion, bit-identity
-# and the speedup/steal floors. Cheap enough for every push.
-shard-bench:
-	$(GO) run ./cmd/benchtab -rows $(SHARD_ROWS) -scale $(SHARD_SCALE) -shards 2 -assert
-
-# shard-baseline re-measures the committed BENCH_shard.json: the full
-# shards 1/2/4/8 × steal/greedy sweep over the four large workloads.
-shard-baseline:
-	$(GO) run ./cmd/benchtab -scale $(SHARD_SCALE) -shard-json BENCH_shard.json -assert
 
 # checker-bench is CI's static-analysis gate: every lockheavy preset
 # runs every registered pass cold then warm, and the fresh report is

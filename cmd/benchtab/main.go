@@ -28,7 +28,6 @@ import (
 
 	"bootstrap/internal/bench"
 	"bootstrap/internal/cliutil"
-	"bootstrap/internal/dist"
 	"bootstrap/internal/synth"
 )
 
@@ -49,11 +48,9 @@ var (
 	timings  = flag.Bool("timings", false, "also print per-stage timing columns (fixed cover order, diff-friendly)")
 	cacheDir = flag.String("cache-dir", "", "persistent directory for the per-cluster result cache; a second run against the same directory starts fully warm (cache_hit_rate 1.0)")
 
-	assert   = flag.Bool("assert", false, "bench-regression gate: compare -fresh against -baseline and exit non-zero when a work counter grew, allocations grew by >5%, the Go releases differ or the warm run missed the cache; with -shards N, instead run a fresh distributed sweep and assert its invariants (completion, bit-identity, speedup, steal vs greedy)")
+	assert   = flag.Bool("assert", false, "bench-regression gate: compare -fresh against -baseline and exit non-zero when a work counter grew, allocations grew by >5%, the Go releases differ or the warm run missed the cache")
 	baseline = flag.String("baseline", "BENCH_fscs.json", "committed baseline report for -assert")
 	fresh    = flag.String("fresh", "BENCH_fresh.json", "freshly measured report for -assert")
-
-	shardJSON = flag.String("shard-json", "", "write the distributed-execution sweep (shards 1/2/4/8 × steal/greedy, per-shard utilization, eager speedup) to this file and exit")
 
 	checkBench = flag.Bool("check", false, "run the checker benchmark instead: every lockheavy preset cold then warm, seeded-bug recall, cold/warm digest drift; with -assert, gate against -baseline BENCH_check.json")
 	checkJSON  = flag.String("check-json", "", "with -check, write the checker report to this file")
@@ -62,27 +59,19 @@ var (
 	incrJSON  = flag.String("incr-json", "", "with -incremental, write the incremental report to this file")
 	incrEdits = flag.String("edits", incrBenchRows, "with -incremental, comma-separated workloads for the edit storm")
 
-	obsFlags  cliutil.ObsFlags
-	distFlags cliutil.DistFlags
+	obsFlags cliutil.ObsFlags
 )
 
-// shardBenchRows is the default suite of the -shard-json sweep: the
-// four largest BENCH_ROWS workloads, where sharding has enough cluster
-// weight to matter.
-const shardBenchRows = "sock,autofs,raid,mt_daapd"
-
 // incrBenchRows is the default suite of the -incremental edit storm:
-// the same four workloads, where the cover is wide enough that
-// single-statement edits leave most clusters untouched.
+// the four largest BENCH_ROWS workloads, where the cover is wide enough
+// that single-statement edits leave most clusters untouched.
 const incrBenchRows = "sock,autofs,raid,mt_daapd"
 
 func init() {
 	obsFlags.Register(flag.CommandLine)
-	distFlags.Register(flag.CommandLine)
 }
 
 func main() {
-	dist.MaybeWorker() // spawned shard workers re-exec this binary
 	flag.Parse()
 	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
@@ -97,7 +86,7 @@ func run(out io.Writer) (err error) {
 	if *incrBench {
 		return runIncr(out)
 	}
-	if *assert && !distFlags.Enabled() && *shardJSON == "" {
+	if *assert {
 		return runAssert(out, *baseline, *fresh)
 	}
 	sess, err := obsFlags.Start()
@@ -145,9 +134,6 @@ func run(out io.Writer) (err error) {
 			suite = append(suite, b)
 		}
 	}
-	if *shardJSON != "" || distFlags.Enabled() {
-		return runShards(out, suite, opt)
-	}
 	if *fscsJSON != "" {
 		report, err := bench.FSCSPerf(suite, opt, *perfReps, os.Stderr)
 		if err != nil {
@@ -180,60 +166,6 @@ func run(out io.Writer) (err error) {
 	if *compare {
 		fmt.Fprintln(out, "\nPaper vs measured (shape comparison):")
 		fmt.Fprint(out, bench.FormatComparison(measured))
-	}
-	return nil
-}
-
-// runShards is the distributed-execution benchmark: sweep the shard
-// axis over the suite, optionally write BENCH_shard.json, and — under
-// -assert — gate on the sweep's invariants (every cell completed and
-// bit-identical, speedup floor at the top shard count, work stealing
-// never behind greedy binning).
-func runShards(out io.Writer, suite []synth.Benchmark, opt bench.Options) error {
-	if *rows == "" {
-		suite = nil
-		for _, name := range strings.Split(shardBenchRows, ",") {
-			b, _ := synth.FindBenchmark(name)
-			suite = append(suite, b)
-		}
-	}
-	counts := []int{1, 2, 4, 8}
-	if distFlags.Enabled() {
-		counts = []int{1, distFlags.Shards}
-		if distFlags.Shards == 1 {
-			counts = []int{1}
-		}
-	}
-	report, err := bench.ShardPerf(suite, counts, opt, os.Stderr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "Distributed eager solve (scale %.2f, busy = per-process CPU time):\n\n", *scale)
-	fmt.Fprint(out, bench.FormatShard(report))
-	if *shardJSON != "" {
-		f, err := os.Create(*shardJSON)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteShardJSON(f, report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %s (%d workloads)\n", *shardJSON, len(report.Points))
-	}
-	if *assert {
-		errs := bench.AssertShard(report)
-		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "benchtab: shard gate:", e)
-		}
-		if len(errs) > 0 {
-			return fmt.Errorf("%d shard invariant(s) violated", len(errs))
-		}
-		fmt.Fprintf(out, "\nshard gate: %d workloads completed, bit-identical, speedup and steal-vs-greedy floors held\n",
-			len(report.Points))
 	}
 	return nil
 }

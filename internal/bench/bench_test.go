@@ -65,6 +65,47 @@ func TestFormatTable(t *testing.T) {
 	if !strings.Contains(cmp, "ctrace") {
 		t.Errorf("comparison output malformed:\n%s", cmp)
 	}
+	if len(row.AndersenTimes) != row.AndersenNum {
+		t.Errorf("%d per-cluster times for %d Andersen clusters", len(row.AndersenTimes), row.AndersenNum)
+	}
+	if seq := sum(row.AndersenTimes); seq < row.AndersenFSCS {
+		t.Errorf("sequential sum %v below the simulated max bin %v", seq, row.AndersenFSCS)
+	}
+}
+
+// TestFormatTimings pins the timing columns' order and checks that
+// andersen-cold is the sequential sum of the per-cluster times, not the
+// simulated max bin printed as andersen-fscs-sim.
+func TestFormatTimings(t *testing.T) {
+	b, _ := synth.FindBenchmark("sock")
+	row := Row{
+		Bench:         b,
+		SteensTime:    time.Millisecond,
+		AndersenTimes: []time.Duration{1500 * time.Microsecond, 2 * time.Millisecond, 3 * time.Millisecond},
+		AndersenFSCS:  3 * time.Millisecond,
+		AndersenWarm:  400 * time.Microsecond,
+	}
+	lines := strings.Split(FormatTimings([]Row{row}), "\n")
+	header := strings.Fields(lines[0])
+	want := []string{"Example", "steens-partition", "andersen-cluster", "no-clustering",
+		"steens-fscs-sim", "andersen-fscs-sim", "andersen-cold", "andersen-warm", "warm-cache"}
+	if strings.Join(header, " ") != strings.Join(want, " ") {
+		t.Fatalf("header = %v, want %v", header, want)
+	}
+	cells := map[string]string{}
+	for i, f := range strings.Fields(lines[2]) {
+		cells[header[i]] = f
+	}
+	for col, want := range map[string]string{
+		"Example":           "sock",
+		"andersen-fscs-sim": "3.0ms",
+		"andersen-cold":     "6.5ms",
+		"andersen-warm":     "400µs",
+	} {
+		if cells[col] != want {
+			t.Errorf("%s = %q, want %q\n%s", col, cells[col], want, strings.Join(lines, "\n"))
+		}
+	}
 }
 
 func TestFigure1Shape(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 
 	"bootstrap/internal/cache"
 	"bootstrap/internal/core"
-	"bootstrap/internal/dist"
 )
 
 // AnalysisFlags is the cascade-configuration flag group: everything a
@@ -47,41 +46,6 @@ func (f *AnalysisFlags) Register(fs *flag.FlagSet) {
 
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "directory for the persistent per-cluster result cache; warm re-runs import unchanged clusters instead of re-solving (results identical)")
 	fs.BoolVar(&f.SteensPrecise, "steens-precise", false, "oversharing-resistant Steensgaard: write-only sinks join source partitions via an overlay instead of unifying them (smaller max partition; sound, may be more precise)")
-}
-
-// DistFlags is the distributed-execution flag group shared by
-// bootstrap, benchtab and aliaswork: shard count, binning policy and
-// lease TTL. Zero value + Register = ready; Shards == 0 (or 1 with the
-// other flags untouched) means single-process execution.
-type DistFlags struct {
-	Shards   int
-	Binning  string
-	LeaseTTL time.Duration
-}
-
-// Register installs the distributed-execution flags on fs.
-func (f *DistFlags) Register(fs *flag.FlagSet) {
-	fs.IntVar(&f.Shards, "shards", 0, "distribute the eager per-cluster solve across N worker processes (0 = single-process)")
-	fs.StringVar(&f.Binning, "binning", string(dist.BinningSteal), "cluster-to-shard policy: steal (greedy bins + work stealing) or greedy (the paper's static bins)")
-	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 0, "work-item lease duration before a silent worker's cluster is re-issued (0 = default 5s)")
-}
-
-// Enabled reports whether the flags request distributed execution.
-func (f *DistFlags) Enabled() bool { return f.Shards > 0 }
-
-// Options builds the dist.RunOptions the flags describe. cacheDir is
-// the shared result-cache directory ("" = a run-scoped temp dir).
-func (f *DistFlags) Options(cacheDir string) (dist.RunOptions, error) {
-	binning, err := dist.ParseBinning(f.Binning)
-	if err != nil {
-		return dist.RunOptions{}, err
-	}
-	return dist.RunOptions{
-		Shards:   f.Shards,
-		Binning:  binning,
-		LeaseTTL: f.LeaseTTL,
-		CacheDir: cacheDir,
-	}, nil
 }
 
 // ParseMode maps a -mode flag value to a core.Mode.

@@ -168,7 +168,7 @@ type Timing struct {
 	Lower       time.Duration // frontend (parse + lower + devirtualize)
 	Steensgaard time.Duration // partitioning
 	OneFlow     time.Duration // optional cascade stage
-	Clustering  time.Duration // Andersen clustering (refinement of oversized partitions)
+	Clustering  time.Duration // Andersen clustering (refinement of oversized partitions), excluding waits on busy FSCS workers
 	Fallback    time.Duration // whole-program flow-insensitive Andersen plus the call graph
 	FSCS        time.Duration // total sequential per-cluster FSCS time
 	Wall        time.Duration // wall-clock FSCS time (parallel)

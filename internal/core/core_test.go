@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -612,5 +613,49 @@ func TestDerefState(t *testing.T) {
 	_, mayNull, _, _ = a.DerefState(v(t, a, "mix"), exit)
 	if !mayNull {
 		t.Error("mix: expected a null path")
+	}
+}
+
+// TestClusteringExcludesBackPressure: Timing.Clustering charges the
+// streamed cover only for its own work, not for the time its goroutine
+// waits to hand a cluster to busy FSCS workers. With one worker and
+// every tuple of every cluster slowed, the cover is built in
+// microseconds but its last hand-off waits until all but the last few
+// clusters are solved; a clock that counted the wait would read most of
+// the total injected delay.
+func TestClusteringExcludesBackPressure(t *testing.T) {
+	const pairs = 12
+	var src strings.Builder
+	for i := 0; i < pairs; i++ {
+		fmt.Fprintf(&src, "int a%d; int *p%d, *q%d;\n", i, i, i)
+	}
+	src.WriteString("void main() {\n")
+	for i := 0; i < pairs; i++ {
+		fmt.Fprintf(&src, "\tp%d = &a%d;\n\tq%d = p%d;\n", i, i, i, i)
+	}
+	src.WriteString("}\n")
+
+	const delay = 200 * time.Microsecond
+	a, err := AnalyzeSource(src.String(), Config{
+		Mode:    ModeAndersen,
+		Workers: 1,
+		Faults:  faults.NewPlan().EveryNth(1, faults.Fault{Kind: faults.Slow, Delay: delay}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.engines) < pairs {
+		t.Fatalf("%d solved clusters, want at least %d", len(a.engines), pairs)
+	}
+	// The hook sleeps at least delay once per charged tuple (AfterTuples
+	// 0), so this undercounts what was injected.
+	var tuples int64
+	for _, eng := range a.engines {
+		tuples += eng.TuplesProcessed
+	}
+	injected := time.Duration(tuples) * delay
+	if a.Timing.Clustering >= injected/4 {
+		t.Errorf("Timing.Clustering = %v, want well below the %v injected into the FSCS solve",
+			a.Timing.Clustering, injected)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"bootstrap/internal/cache"
 	"bootstrap/internal/cluster"
-	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 )
 
@@ -51,8 +50,9 @@ type topology struct {
 // topologies are the ways the cascade can execute one configuration:
 // eager on one worker (the reference) and on eight, lazy with every
 // cluster then solved through EnsureCluster, served entirely from a warm
-// result cache, and split into BuildPlan + AnalyzeFromPlan. Scheduling
-// trades work, never answers, so every topology must agree.
+// result cache, and reached through an ApplyEdit chain that edits a
+// statement and then restores it. Scheduling trades work, never
+// answers, so every topology must agree.
 var topologies = []topology{
 	{"workers1", func(t *testing.T, cfg Config) *Analysis {
 		cfg.Workers = 1
@@ -89,36 +89,44 @@ var topologies = []topology{
 		}
 		return warm
 	}},
-	{"plan-workers1", func(t *testing.T, cfg Config) *Analysis {
-		cfg.Workers = 1
-		return mustPlanAnalyze(t, cfg)
-	}},
-	{"plan-workers8", func(t *testing.T, cfg Config) *Analysis {
+	{"applyedit-chain", func(t *testing.T, cfg Config) *Analysis {
+		// y = &b becomes y = &c and back. The default Andersen cascade
+		// maps both edits incrementally and feeds the rebuilt cover to
+		// the executor as a drained stream; every other mode takes
+		// ApplyEdit's full-Reanalyze fallback.
 		cfg.Workers = 8
-		return mustPlanAnalyze(t, cfg)
+		a := mustAnalyze(t, cfg)
+		y, b, c := v(t, a, "y"), v(t, a, "b"), v(t, a, "c")
+		loc := ir.NoLoc
+		for _, n := range a.Prog.Nodes {
+			if n.Stmt.Op == ir.OpAddr && n.Stmt.Dst == y && n.Stmt.Src == b {
+				loc = n.Loc
+			}
+		}
+		if loc == ir.NoLoc {
+			t.Fatal("no y = &b statement")
+		}
+		orig := a.Prog.Node(loc).Stmt
+		edited := orig
+		edited.Src = c
+		incremental := cfg.Mode == ModeAndersen && !cfg.UseOneFlow
+		for _, st := range []ir.Stmt{edited, orig} {
+			next, rep, err := ApplyEdit(a, []ir.Edit{{Kind: ir.EditReplaceStmt, Loc: loc, Stmt: st}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FellBack == incremental || incremental && rep.Dirty == 0 {
+				t.Fatalf("edit report %+v, want an incremental edit that dirties a cluster: %v", rep, incremental)
+			}
+			a = next
+		}
+		return a
 	}},
 }
 
 func mustAnalyze(t *testing.T, cfg Config) *Analysis {
 	t.Helper()
 	a, err := AnalyzeSource(testProgram, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-func mustPlanAnalyze(t *testing.T, cfg Config) *Analysis {
-	t.Helper()
-	prog, err := frontend.LowerSource(testProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := BuildPlan(context.Background(), prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := AnalyzeFromPlan(context.Background(), pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +179,8 @@ func TestDeterministicAcrossWorkersAndKnobs(t *testing.T) {
 // TestPipelinedMatchesSerialCover: the cover streamed while clusters are
 // already being solved must be the serial BuildAndersen cover exactly —
 // same clusters, same IDs, same order — and the streamed analysis must
-// answer like a single-worker BuildPlan + AnalyzeFromPlan run, including
-// under demand selection and the hybrid size cut-off.
+// answer like a single-worker run, including under demand selection and
+// the hybrid size cut-off.
 func TestPipelinedMatchesSerialCover(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -199,7 +207,7 @@ func TestPipelinedMatchesSerialCover(t *testing.T) {
 			}
 			serialCfg := tc.cfg
 			serialCfg.Workers = 1
-			serial := mustPlanAnalyze(t, serialCfg)
+			serial := mustAnalyze(t, serialCfg)
 			if got, want := aliasDump(piped), aliasDump(serial); got != want {
 				t.Errorf("pipelined cover/results diverge from serial\n--- serial\n%s--- pipelined\n%s", want, got)
 			}

@@ -15,14 +15,15 @@ import (
 )
 
 // readyNow is the ready signal of a plan whose fallback and call graph
-// are already computed.
+// are already computed (ApplyEdit's).
 var readyNow = func() <-chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
 	return ch
 }()
 
-// sliceStream feeds an already built cover to the executor.
+// sliceStream feeds an already built cover (ApplyEdit's) to the
+// executor.
 func sliceStream(cs []*cluster.Cluster) <-chan *cluster.Cluster {
 	ch := make(chan *cluster.Cluster, len(cs))
 	for _, c := range cs {
@@ -52,15 +53,16 @@ func (cfg Config) selects(prog *ir.Program, c *cluster.Cluster) bool {
 	return false
 }
 
-// execute is the cascade's one cluster executor; every entry point
-// (AnalyzeProgramContext, AnalyzeFromPlan, ApplyEdit) is a scheduling
-// policy over it. It consumes the cluster stream with a fixed pool of
-// cfg.Workers goroutines, which wait for ready (pl.Andersen and
-// pl.CallGraph set) before their first solve. Each streamed cluster that
-// cfg selects is indexed for queries and, when solve reports true,
-// solved through the fault-tolerant ladder (RunCluster) on the worker's
-// own trace track under the RunTimeout context. A nil solve solves every
-// selected cluster unless cfg.Lazy, where engines run at query time.
+// execute is the cascade's one cluster executor; both entry points
+// (AnalyzeProgramContext, with eager, lazy and demand selection, and
+// ApplyEdit) are scheduling policies over it. It consumes the cluster
+// stream with a fixed pool of cfg.Workers goroutines, which wait for
+// ready (pl.Andersen and pl.CallGraph set) before their first solve.
+// Each streamed cluster that cfg selects is indexed for queries and,
+// when solve reports true, solved through the fault-tolerant ladder
+// (RunCluster) on the worker's own trace track under the RunTimeout
+// context. A nil solve solves every selected cluster unless cfg.Lazy,
+// where engines run at query time.
 //
 // Once the stream is drained and the workers are done, a adopts pl's
 // analyses, cover and front-end timing, records the solved engines

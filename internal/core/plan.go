@@ -18,18 +18,15 @@ import (
 	"bootstrap/internal/steens"
 )
 
-// Plan is the front-end's deterministic product: everything the eager
-// per-cluster FSCS stage needs before any engine has run — the lowered
-// (devirtualized) program, the Steensgaard base analysis, the
-// flow-insensitive fallback, the call graph, and the alias cover with
-// its final cluster IDs.
-//
-// The plan is the scheduler seam for remote execution: two processes
-// that BuildPlan the same source under the same Config compute
-// bit-identical covers with identical cluster IDs (every builder is
-// deterministic), so a distributed coordinator can hand out bare
-// cluster IDs as work items and a worker can resolve them against its
-// own plan. Package dist is built entirely on this property.
+// Plan is the front end's product: everything the per-cluster FSCS
+// stage needs before any engine has run — the lowered (devirtualized)
+// program, the Steensgaard base analysis, the flow-insensitive fallback,
+// the call graph, and the alias cover with its final cluster IDs.
+// startFront fills it while the executor is already consuming the
+// cover; ApplyEdit assembles one for the edited program from the
+// previous cover and hands it to the same executor. Every builder is
+// deterministic, so the same program under the same Config always
+// yields the same cover with the same cluster IDs.
 type Plan struct {
 	Prog      *ir.Program
 	Steens    *steens.Analysis
@@ -43,23 +40,8 @@ type Plan struct {
 	Timing Timing
 }
 
-// Cluster returns the plan's cluster with the given ID, or nil. Cover
-// builders assign IDs densely in cover order, so this is an index probe
-// with a defensive scan fallback.
-func (pl *Plan) Cluster(id int) *cluster.Cluster {
-	if id >= 0 && id < len(pl.Clusters) && pl.Clusters[id].ID == id {
-		return pl.Clusters[id]
-	}
-	for _, c := range pl.Clusters {
-		if c.ID == id {
-			return c
-		}
-	}
-	return nil
-}
-
-// planDefaults normalizes the config knobs both BuildPlan and the
-// analyze entry points depend on.
+// planDefaults normalizes the config knobs the analyze and edit entry
+// points depend on.
 func planDefaults(cfg *Config) {
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -99,17 +81,20 @@ func newAnalysis(prog *ir.Program, cfg Config) *Analysis {
 	}
 }
 
-// startFront runs the cascade's front end, shared by
-// AnalyzeProgramContext and BuildPlan (ApplyEdit rebuilds its cover
-// incrementally instead). Steensgaard (plus devirtualization) and the optional One-Flow
-// stage run inline. Then two goroutines start: one computes the
-// flow-insensitive fallback and the call graph, the other delivers the
-// alias cover over the returned channel in final ID order. The plain
+// startFront runs the cascade's front end for AnalyzeProgramContext
+// (ApplyEdit rebuilds its cover incrementally instead). Steensgaard
+// (plus devirtualization) and the optional One-Flow stage run inline.
+// Then two goroutines start: one computes the flow-insensitive fallback
+// and the call graph, the other delivers the alias cover over the
+// returned channel in final ID order. The plain
 // Andersen cascade streams it partition by partition
 // (cluster.StreamAndersen); every other cover is built whole and then
 // fed. Each delivered cluster is appended to pl.Clusters; pl.Clusters and
 // pl.Timing.Clustering are final once the channel is closed, and
 // pl.Andersen, pl.CallGraph and pl.Timing.Fallback once ready is closed.
+// Timing.Clustering charges only the cover's own work: time spent
+// blocked handing a cluster to busy FSCS workers is back-pressure from
+// the solve, not clustering, and is left out.
 //
 // The cover is built under the caller's ctx, never the RunTimeout
 // context: RunTimeout degrades FSCS precision per cluster but must not
@@ -167,10 +152,13 @@ func startFront(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, <-cha
 	clusters := make(chan *cluster.Cluster, cfg.Workers)
 	go func() {
 		defer close(clusters)
+		var blocked time.Duration // waiting on the executor to take a cluster
 		emit := func(cs ...*cluster.Cluster) {
 			for _, c := range cs {
 				pl.Clusters = append(pl.Clusters, c)
+				t := time.Now()
 				clusters <- c
+				blocked += time.Since(t)
 			}
 		}
 		switch {
@@ -188,51 +176,8 @@ func startFront(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, <-cha
 				emit(c)
 			}
 		}
-		pl.Timing.Clustering = time.Since(t1)
+		pl.Timing.Clustering = time.Since(t1) - blocked
 		csp.Arg("clusters", len(pl.Clusters)).End()
 	}()
 	return pl, clusters, ready, nil
-}
-
-// BuildPlan runs the front end of the cascade — Steensgaard (plus
-// devirtualization), optional One-Flow, the alias cover, the
-// flow-insensitive fallback and the call graph — and returns the plan
-// without running any per-cluster engine. AnalyzeProgramContext is
-// BuildPlan + AnalyzeFromPlan, except that it starts solving clusters
-// while the cover is still streaming.
-func BuildPlan(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	planDefaults(&cfg)
-	pl, clusters, ready, err := startFront(ctx, prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for range clusters {
-	}
-	<-ready
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: analysis cancelled: %w", err)
-	}
-	return pl, nil
-}
-
-// AnalyzeFromPlan runs the per-cluster FSCS stage over an already built
-// plan through the cluster executor and returns the full query facade.
-// The distributed coordinator uses it as the merge pass: with the shard
-// fleet's shared result cache in cfg.Cache, every worker-solved cluster
-// imports instead of solving, and any cluster the fleet failed (lost
-// workers, expired leases) simply solves locally through the usual
-// retry-then-demote ladder.
-func AnalyzeFromPlan(ctx context.Context, pl *Plan, cfg Config) (*Analysis, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	planDefaults(&cfg)
-	a := newAnalysis(pl.Prog, cfg)
-	if _, err := a.execute(ctx, pl, sliceStream(pl.Clusters), readyNow, nil); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
