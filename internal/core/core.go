@@ -66,8 +66,10 @@ type Config struct {
 	// sequential execution.
 	Workers int
 	// ClusterBudget caps the worklist tuples each per-cluster engine may
-	// process — the analogue of the paper's 15-minute timeout. Zero means
-	// unlimited.
+	// process — the analogue of the paper's 15-minute timeout. A tuple is
+	// one visit of a node of the cluster's contracted Prog_P skeleton, so
+	// statements outside St_P cost nothing (see fscs.WithBudget). Zero
+	// means unlimited.
 	ClusterBudget int64
 	// ClusterTimeout bounds the wall-clock time of each per-cluster
 	// engine attempt — the paper's 15-minute timeout made literal. On

@@ -45,7 +45,9 @@ func (k Kind) String() string {
 type Fault struct {
 	Kind Kind
 	// AfterTuples arms the fault only once the engine has processed this
-	// many worklist tuples (0 = fire on the first tuple).
+	// many worklist tuples (0 = fire on the first tuple). A tuple is one
+	// visit of a skeleton node, not of every CFG node (see
+	// fscs.WithBudget).
 	AfterTuples int64
 	// Delay is the per-tuple sleep of a Slow fault.
 	Delay time.Duration

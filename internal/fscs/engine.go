@@ -77,7 +77,9 @@ func WithMaxCond(n int) Option {
 
 // WithBudget bounds the number of worklist tuples the engine may process
 // across all queries; once exceeded every walk aborts and Exhausted
-// reports true (and Run returns ErrBudget). Zero means unlimited.
+// reports true (and Run returns ErrBudget). Zero means unlimited. A tuple
+// is one visit of a skeleton node (skeleton.go) by a tracked token: the
+// skips a skeleton contracts away are free.
 func WithBudget(n int64) Option {
 	return func(e *Engine) { e.budget = n }
 }
@@ -143,6 +145,10 @@ type Engine struct {
 	// Free list of walkBack traversal scratches (see walk.go). Walks nest
 	// through summary lookups, so each live walk checks one out.
 	scratch []*walkScratch
+
+	// Contracted Prog_P CFGs of the functions walked so far (see
+	// skeleton.go), built on first use.
+	skels map[ir.FuncID]*skeleton
 
 	// hasAssumes is set when the cluster's slice contains path-sensitivity
 	// assume nodes; terminated walk tokens then keep walking backwards to
@@ -302,59 +308,52 @@ func (e *Engine) charge() bool {
 // ever need summaries — the locality the paper exploits: "the need for
 // computing summaries for functions that don't modify any pointers in the
 // given cluster ... typically accounts for the majority of the functions".
+//
+// Only the direct modifiers and their transitive callers are visited: a
+// (function, variable) pair is propagated to the function's callers once,
+// when it is first added, so a cluster with no direct modification costs
+// one pass over St_P. The result is the least solution of modStar(f) =
+// direct(f) ∪ ⋃ modStar(callees of f), the same as closing over every
+// call-graph SCC callees first.
 func (e *Engine) computeModStar() {
-	direct := map[ir.FuncID]map[ir.VarID]bool{}
-	addMod := func(f ir.FuncID, v ir.VarID) {
-		if !e.cl.HasVar(v) {
-			return
-		}
-		m := direct[f]
+	e.modStar = map[ir.FuncID]map[ir.VarID]bool{}
+	type mod struct {
+		f ir.FuncID
+		v ir.VarID
+	}
+	var work []mod
+	add := func(f ir.FuncID, v ir.VarID) {
+		m := e.modStar[f]
 		if m == nil {
 			m = map[ir.VarID]bool{}
-			direct[f] = m
+			e.modStar[f] = m
 		}
-		m[v] = true
+		if !m[v] {
+			m[v] = true
+			work = append(work, mod{f: f, v: v})
+		}
 	}
 	for _, loc := range e.cl.Stmts {
 		n := e.prog.Node(loc)
 		switch n.Stmt.Op {
 		case ir.OpCopy, ir.OpAddr, ir.OpLoad, ir.OpNullify:
-			addMod(n.Fn, n.Stmt.Dst)
+			if e.cl.HasVar(n.Stmt.Dst) {
+				add(n.Fn, n.Stmt.Dst)
+			}
 		case ir.OpStore:
 			// A store may modify any V_P object in the written class.
 			for _, o := range e.sa.PointsToVars(n.Stmt.Dst) {
-				addMod(n.Fn, o)
-			}
-		}
-	}
-	// Close over callees, SCC by SCC in reverse topological order; within
-	// an SCC iterate to fixpoint.
-	e.modStar = map[ir.FuncID]map[ir.VarID]bool{}
-	for f, m := range direct {
-		cp := map[ir.VarID]bool{}
-		for v := range m {
-			cp[v] = true
-		}
-		e.modStar[f] = cp
-	}
-	for _, scc := range e.cg.SCCs() {
-		for changed := true; changed; {
-			changed = false
-			for _, f := range scc {
-				for _, g := range e.cg.Callees(f) {
-					for v := range e.modStar[g] {
-						m := e.modStar[f]
-						if m == nil {
-							m = map[ir.VarID]bool{}
-							e.modStar[f] = m
-						}
-						if !m[v] {
-							m[v] = true
-							changed = true
-						}
-					}
+				if e.cl.HasVar(o) {
+					add(n.Fn, o)
 				}
 			}
+		}
+	}
+	for len(work) > 0 {
+		m := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, c := range e.cg.Callers(m.f) {
+			add(c, m.v)
 		}
 	}
 }
@@ -464,8 +463,7 @@ func (e *Engine) fixpoint(root sumKey) {
 			}
 			return e.sums[gk]
 		}
-		f := e.prog.Func(k.f)
-		out := e.walkBack(k.f, VarTok(k.ptr), e.prog.Node(f.Exit).Preds, lookup)
+		out := e.walkBack(VarTok(k.ptr), e.prog.Func(k.f).Exit, lookup)
 
 		cur := e.sums[k]
 		if cur == nil {
@@ -504,8 +502,7 @@ func (e *Engine) summaryLookup(g ir.FuncID, ptr ir.VarID) tupSet {
 // its function: the sources of maximally complete update sequences from
 // the function's entry to loc.
 func (e *Engine) SummaryAt(loc ir.Loc, ptr ir.VarID) []SumTuple {
-	n := e.prog.Node(loc)
-	out := e.walkBack(n.Fn, VarTok(ptr), n.Preds, e.summaryLookup)
+	out := e.walkBack(VarTok(ptr), loc, e.summaryLookup)
 	return e.tupleList(out)
 }
 
@@ -530,13 +527,16 @@ func (e *Engine) tupleList(m tupSet) []SumTuple {
 // slice's classes are isomorphic or the cluster would be dirty), the
 // Andersen fallback (widened answers must match a fresh run on the new
 // program), and the cluster object carrying the new cover's ID. The
-// walk scratch free list is kept: its dedup chains are indexed by a node's
-// position inside its function, and getScratch grows a scratch to the
-// walked function, so an edit that inserts nodes needs no reset.
+// skeletons are dropped and rebuilt on the next walk: an edit may splice
+// nodes into a walked function or rebuild its body, which changes the
+// contraction even when no St_P statement moves. The walk scratch free
+// list is kept: its dedup chains are indexed by a skeleton node's number,
+// and getScratch grows a scratch to the walked skeleton.
 func (e *Engine) Rebind(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *cluster.Cluster, fallback *andersen.Analysis) {
 	e.prog = p
 	e.cg = cg
 	e.sa = sa
 	e.cl = cl
 	e.fallback = fallback
+	e.skels = nil
 }

@@ -204,8 +204,7 @@ func (e *Engine) fwdTransfer(it fwdItem) []fwdOut {
 // phase computes the sources A of p at loc; the forward phase collects
 // every cluster pointer holding one of those sources at loc.
 func (e *Engine) ForwardAliases(p ir.VarID, loc ir.Loc) []ir.VarID {
-	n := e.prog.Node(loc)
-	vr := e.collectValues(n.Fn, p, n.Preds)
+	vr := e.collectValues(p, loc)
 	set := map[ir.VarID]bool{}
 	if vr.unknown {
 		// Fall back exactly like MayAlias does.

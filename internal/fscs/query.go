@@ -30,29 +30,30 @@ func (vr *valueResult) sortedObjs() []ir.VarID {
 // a backward walk inside the function, with TVar sources at the entry
 // propagated into every caller at every call site, context-insensitively,
 // until only terminated sources remain.
-func (e *Engine) collectValues(f ir.FuncID, ptr ir.VarID, startLocs []ir.Loc) *valueResult {
+func (e *Engine) collectValues(ptr ir.VarID, at ir.Loc) *valueResult {
 	vr := &valueResult{objs: map[ir.VarID]bool{}}
 	type frame struct {
-		f     ir.FuncID
-		v     ir.VarID
-		start []ir.Loc
+		f  ir.FuncID
+		v  ir.VarID
+		at ir.Loc // the walk starts just before at
 	}
-	// A frame's start locations are determined by its call site (the
-	// initial frame is the only one with caller-supplied starts), so
-	// (f, v, callsite) identifies a frame; NoLoc marks the initial frame.
+	// A frame's start is its call site (the initial frame is the only one
+	// with a caller-supplied start), so (f, v, callsite) identifies a
+	// frame; NoLoc marks the initial frame.
 	type frameKey struct {
 		f  ir.FuncID
 		v  ir.VarID
 		cs ir.Loc
 	}
 	seen := map[frameKey]bool{}
-	queue := []frame{{f: f, v: ptr, start: startLocs}}
+	f := e.prog.Node(at).Fn
+	queue := []frame{{f: f, v: ptr, at: at}}
 	seen[frameKey{f: f, v: ptr, cs: ir.NoLoc}] = true
 
 	for len(queue) > 0 {
 		fr := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		tuples := e.walkBack(fr.f, VarTok(fr.v), fr.start, e.summaryLookup)
+		tuples := e.walkBack(VarTok(fr.v), fr.at, e.summaryLookup)
 		for t := range tuples {
 			if !e.satisfiable(t.cond) {
 				continue
@@ -80,7 +81,7 @@ func (e *Engine) collectValues(f ir.FuncID, ptr ir.VarID, startLocs []ir.Loc) *v
 						k := frameKey{f: g, v: t.tok.V, cs: cs}
 						if !seen[k] {
 							seen[k] = true
-							queue = append(queue, frame{f: g, v: t.tok.V, start: e.prog.Node(cs).Preds})
+							queue = append(queue, frame{f: g, v: t.tok.V, at: cs})
 						}
 					}
 				}
@@ -173,8 +174,7 @@ func (e *Engine) valuesAt(v ir.VarID, loc ir.Loc) *valueResult {
 		return &valueResult{objs: map[ir.VarID]bool{}, unknown: true}
 	}
 	e.ptsInProg[k] = true
-	n := e.prog.Node(loc)
-	vr := e.collectValues(n.Fn, v, n.Preds)
+	vr := e.collectValues(v, loc)
 	delete(e.ptsInProg, k)
 	e.ptsVR[k] = vr
 	return vr
@@ -206,8 +206,7 @@ func (e *Engine) mustPointTo(v ir.VarID, loc ir.Loc, y ir.VarID) bool {
 // analysis, with precise=false when some path lost precision (callers
 // should then widen with a flow-insensitive fallback).
 func (e *Engine) Values(p ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
-	n := e.prog.Node(loc)
-	vr := e.collectValues(n.Fn, p, n.Preds)
+	vr := e.collectValues(p, loc)
 	return vr.sortedObjs(), !vr.unknown
 }
 
@@ -223,8 +222,7 @@ type ValueState struct {
 
 // ValueState resolves p's value set at loc with all outcome flags.
 func (e *Engine) ValueState(p ir.VarID, loc ir.Loc) ValueState {
-	n := e.prog.Node(loc)
-	vr := e.collectValues(n.Fn, p, n.Preds)
+	vr := e.collectValues(p, loc)
 	return ValueState{
 		Objs:    vr.sortedObjs(),
 		Null:    vr.null,
@@ -248,9 +246,8 @@ func (e *Engine) MayAlias(p, q ir.VarID, loc ir.Loc) bool {
 	if p == q {
 		return true
 	}
-	n := e.prog.Node(loc)
-	vp := e.collectValues(n.Fn, p, n.Preds)
-	vq := e.collectValues(n.Fn, q, n.Preds)
+	vp := e.collectValues(p, loc)
+	vq := e.collectValues(q, loc)
 	if vp.unknown || vq.unknown {
 		return e.fallbackMayAlias(p, q)
 	}
@@ -280,9 +277,8 @@ func (e *Engine) Aliases(p ir.VarID, loc ir.Loc) []ir.VarID {
 // object on every path, with no null, uninitialized or unknown source.
 // This is the predicate lockset-based race detection needs.
 func (e *Engine) MustAlias(p, q ir.VarID, loc ir.Loc) bool {
-	n := e.prog.Node(loc)
-	vp := e.collectValues(n.Fn, p, n.Preds)
-	vq := e.collectValues(n.Fn, q, n.Preds)
+	vp := e.collectValues(p, loc)
+	vq := e.collectValues(q, loc)
 	if p == q {
 		return !vp.unknown && !vp.null && !vp.uninit && len(vp.objs) > 0
 	}
@@ -328,29 +324,23 @@ func (e *Engine) ValidateContext(ctx Context, loc ir.Loc) error {
 // chased only through the given call path, splicing the local update
 // sequences of f1...fn in order (Section 3, "Computing Flow and
 // Context-Sensitive Aliases").
-func (e *Engine) collectValuesInContext(ptr ir.VarID, startLocs []ir.Loc, ctx Context) *valueResult {
+func (e *Engine) collectValuesInContext(ptr ir.VarID, at ir.Loc, ctx Context) *valueResult {
 	vr := &valueResult{objs: map[ir.VarID]bool{}}
 	type frame struct {
 		v     ir.VarID
-		start []ir.Loc
-		depth int // index into ctx of the frame's own call site; -1 = entry
+		at    ir.Loc // the walk starts just before at
+		depth int    // index into ctx of the frame's own call site; -1 = entry
 	}
-	fnAt := func(depth int) ir.FuncID {
-		if depth < 0 {
-			return e.prog.Entry
-		}
-		return e.prog.Node(ctx[depth]).Stmt.Callee
-	}
-	// The start locations of every pushed frame are determined by its
-	// depth (the predecessors of ctx[depth+1]), and the initial frame is
-	// the only one at depth len(ctx)-1 with caller-supplied starts, so
-	// (depth, v) identifies a frame.
+	// The start of every pushed frame is determined by its depth (just
+	// before ctx[depth+1]), and the initial frame is the only one at depth
+	// len(ctx)-1 with a caller-supplied start, so (depth, v) identifies a
+	// frame.
 	type frameKey struct {
 		depth int
 		v     ir.VarID
 	}
 	seen := map[frameKey]bool{}
-	queue := []frame{{v: ptr, start: startLocs, depth: len(ctx) - 1}}
+	queue := []frame{{v: ptr, at: at, depth: len(ctx) - 1}}
 	for len(queue) > 0 {
 		fr := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -359,7 +349,7 @@ func (e *Engine) collectValuesInContext(ptr ir.VarID, startLocs []ir.Loc, ctx Co
 			continue
 		}
 		seen[k] = true
-		tuples := e.walkBack(fnAt(fr.depth), VarTok(fr.v), fr.start, e.summaryLookup)
+		tuples := e.walkBack(VarTok(fr.v), fr.at, e.summaryLookup)
 		for t := range tuples {
 			if !e.satisfiable(t.cond) {
 				continue
@@ -379,7 +369,7 @@ func (e *Engine) collectValuesInContext(ptr ir.VarID, startLocs []ir.Loc, ctx Co
 				cs := ctx[fr.depth]
 				queue = append(queue, frame{
 					v:     t.tok.V,
-					start: e.prog.Node(cs).Preds,
+					at:    cs,
 					depth: fr.depth - 1,
 				})
 			}
@@ -398,7 +388,7 @@ func (e *Engine) ValuesInContext(p ir.VarID, loc ir.Loc, ctx Context) ([]ir.VarI
 	if err := e.ValidateContext(ctx, loc); err != nil {
 		return nil, false, err
 	}
-	vr := e.collectValuesInContext(p, e.prog.Node(loc).Preds, ctx)
+	vr := e.collectValuesInContext(p, loc, ctx)
 	return vr.sortedObjs(), !vr.unknown, nil
 }
 
@@ -411,8 +401,8 @@ func (e *Engine) MayAliasInContext(p, q ir.VarID, loc ir.Loc, ctx Context) (bool
 	if p == q {
 		return true, nil
 	}
-	vp := e.collectValuesInContext(p, e.prog.Node(loc).Preds, ctx)
-	vq := e.collectValuesInContext(q, e.prog.Node(loc).Preds, ctx)
+	vp := e.collectValuesInContext(p, loc, ctx)
+	vq := e.collectValuesInContext(q, loc, ctx)
 	if vp.unknown || vq.unknown {
 		return e.fallbackMayAlias(p, q), nil
 	}
@@ -429,8 +419,8 @@ func (e *Engine) MustAliasInContext(p, q ir.VarID, loc ir.Loc, ctx Context) (boo
 	if err := e.ValidateContext(ctx, loc); err != nil {
 		return false, err
 	}
-	vp := e.collectValuesInContext(p, e.prog.Node(loc).Preds, ctx)
-	vq := e.collectValuesInContext(q, e.prog.Node(loc).Preds, ctx)
+	vp := e.collectValuesInContext(p, loc, ctx)
+	vq := e.collectValuesInContext(q, loc, ctx)
 	if vp.unknown || vq.unknown || vp.null || vq.null || vp.uninit || vq.uninit {
 		return false, nil
 	}

@@ -5,23 +5,29 @@ import (
 )
 
 // walkBack is the engine's core: the backward interprocedural traversal of
-// Algorithms 4 and 5. Starting from startLocs in function f with a tracked
-// token (the paper's tuple (p, f, l, m, q, cond) — here p and l are fixed
-// by the caller, the worklist carries (m, q, cond)), it propagates the
-// token against each statement's effect, branching on unresolved points-to
-// relations with constraints per Definition 8, splicing callee summaries at
-// call nodes, and returning the set of sources: tokens at f's entry (TVar)
-// or terminated sequences (TAddr / TNull / TUnknown).
+// Algorithms 4 and 5. Starting just before location at, in at's
+// function f, with a tracked token (the paper's tuple (p, f, l, m, q,
+// cond) — here p and l are fixed by the caller, the worklist carries
+// (m, q, cond)), it propagates the token against each statement's
+// effect, branching on unresolved points-to relations with constraints
+// per Definition 8, splicing callee summaries at call nodes, and
+// returning the set of sources: tokens at f's entry (TVar) or terminated
+// sequences (TAddr / TNull / TUnknown).
+//
+// The walk visits only f's skeleton (skeleton.go): the nodes where
+// transfer can act on a token of this cluster, linked by contracted
+// predecessor edges. A tuple is one visit of a skeleton node; the skips
+// between kept nodes cost nothing.
 //
 // Conditions travel as interned CondIDs, worklist deduplication is an
-// epoch-stamped chain per node of f in a flat arena, and transfer appends
-// its outcomes to a reused buffer; all three live in a scratch reused
-// across walks. Once the scratch has grown to f, the result set is the
-// walk's only allocation.
+// epoch-stamped chain per skeleton node in a flat arena, and transfer
+// appends its outcomes to a reused buffer; all three live in a scratch
+// reused across walks. Once the scratch has grown to f's skeleton, the
+// result set is the walk's only allocation.
 //
 // lookup supplies callee exit summaries; during the recursion fixpoint it
 // returns the current (possibly still growing) tuple sets.
-func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup func(ir.FuncID, ir.VarID) tupSet) tupSet {
+func (e *Engine) walkBack(start Token, at ir.Loc, lookup func(ir.FuncID, ir.VarID) tupSet) tupSet {
 	out := tupSet{}
 	if !e.checkpoint() {
 		// Cancelled: return no sources. Callers observe e.over and widen
@@ -32,13 +38,18 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 		out.add(tup{tok: start, cond: TrueCondID})
 		return out
 	}
-	fn := e.prog.Func(f)
-	entry := fn.Entry
-
+	n := e.prog.Node(at)
+	if len(n.Preds) == 0 {
+		// Querying at the function entry: the token's value is whatever it
+		// holds on entry.
+		out.add(tup{tok: start, cond: TrueCondID})
+		return out
+	}
+	sk := e.skeletonOf(n.Fn)
 	// A walk never leaves f (CFG edges are intraprocedural; callee
 	// summaries recurse through their own scratch), so the dedup chains
-	// are indexed by a node's position in f.Nodes.
-	s := e.getScratch(len(fn.Nodes))
+	// are indexed by a node's number in f's skeleton.
+	s := e.getScratch(len(sk.locs))
 	// The arena, worklist and outcome buffer grow in locals, stored back
 	// into the scratch once when the walk ends: storing a slice header
 	// into the heap scratch on every push would be a pointer write with a
@@ -52,37 +63,32 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 	record := func(t Token, c CondID) {
 		out.add(tup{tok: t, cond: c})
 	}
-	push := func(loc ir.Loc, t Token, c CondID) {
+	push := func(d int32, t Token, c CondID) {
 		if t.Kind != TVar && !e.hasAssumes {
 			// No path constraints to collect: terminated sequences record
 			// immediately.
 			record(t, c)
 			return
 		}
-		i := e.prog.Node(loc).Index
 		h := int32(-1)
-		if s.stamp[i] == s.epoch {
-			h = s.head[i]
+		if s.stamp[d] == s.epoch {
+			h = s.head[d]
 		} else {
-			s.stamp[i] = s.epoch
+			s.stamp[d] = s.epoch
 		}
 		for j := h; j >= 0; j = ent[j].next {
 			if ent[j].tok == t && ent[j].cond == c {
 				return
 			}
 		}
-		s.head[i] = int32(len(ent))
+		s.head[d] = int32(len(ent))
 		ent = append(ent, wbEntry{tok: t, cond: c, next: h})
-		work = append(work, wbItem{loc: loc, tok: t, cond: c})
+		work = append(work, wbItem{node: d, tok: t, cond: c})
 	}
-	if len(startLocs) == 0 {
-		// Querying at the function entry: the token's value is whatever it
-		// holds on entry.
-		record(start, TrueCondID)
-		return out
-	}
-	for _, l := range startLocs {
-		push(l, start, TrueCondID)
+	// Start locations with no kept node behind them push nothing: the
+	// walk then has no sources.
+	for _, d := range e.startsAt(sk, n) {
+		push(d, start, TrueCondID)
 	}
 
 	for len(work) > 0 {
@@ -92,18 +98,18 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
 
-		outs = e.transfer(outs[:0], it.loc, it.tok, it.cond, lookup)
-		n := e.prog.Node(it.loc)
+		outs = e.transfer(outs[:0], sk.locs[it.node], it.tok, it.cond, lookup)
+		preds := sk.preds[sk.off[it.node]:sk.off[it.node+1]]
 		for _, oc := range outs {
 			if oc.tok.Kind != TVar && !e.hasAssumes {
 				record(oc.tok, oc.cond)
 				continue
 			}
-			if it.loc == entry {
+			if it.node == sk.entry {
 				record(oc.tok, oc.cond)
 				continue
 			}
-			for _, pr := range n.Preds {
+			for _, pr := range preds {
 				push(pr, oc.tok, oc.cond)
 			}
 		}
@@ -112,9 +118,9 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 }
 
 // wbItem is one walkBack worklist entry: a tracked token with its path
-// condition at a location.
+// condition at a skeleton node.
 type wbItem struct {
-	loc  ir.Loc
+	node int32
 	tok  Token
 	cond CondID
 }
@@ -129,9 +135,9 @@ type wbEntry struct {
 
 // walkScratch is the reusable traversal state for one live walkBack. The
 // dedup set is one chain of (token, condition) entries per node of the
-// walked function, indexed by ir.Node.Index: head[i] is the arena index
-// of node i's newest entry, valid only while stamp[i] equals epoch. A
-// stale stamp means the chain logically starts empty this walk, so no
+// walked skeleton, indexed by its dense number: head[d] is the arena
+// index of node d's newest entry, valid only while stamp[d] equals epoch.
+// A stale stamp means the chain logically starts empty this walk, so no
 // clearing pass is needed between walks, and membership is a linear scan
 // of the small per-node fan-in instead of hashing a 16-byte struct key.
 // Every chain lives in the one flat ent arena, truncated at getScratch,
@@ -140,8 +146,9 @@ type wbEntry struct {
 // pointers and pays no GC write barrier. outs is transfer's outcome
 // buffer; a nested walk (through a summary lookup or PointsToAt) checks
 // out its own scratch, so the buffer is never shared. stamp and head only
-// ever grow, to the largest function this scratch has walked; ent, work
-// and outs keep their capacity across walks.
+// ever grow, to the largest skeleton this scratch has walked — Prog_P's
+// size, not the function's; ent, work and outs keep their capacity
+// across walks.
 type walkScratch struct {
 	epoch uint32
 	stamp []uint32
@@ -152,7 +159,7 @@ type walkScratch struct {
 }
 
 // getScratch pops a scratch off the engine's free list and grows it to n
-// nodes, the walked function's size. walkBack re-enters itself through
+// nodes, the walked skeleton's size. walkBack re-enters itself through
 // summary lookups and FSCI value resolution, so each live walk owns a
 // scratch; the list depth matches the maximum nesting, which stays small.
 func (e *Engine) getScratch(n int) *walkScratch {

@@ -12,7 +12,8 @@ import (
 )
 
 // scratchSrc has one large function first in the program and two small
-// callees, so the largest function is well short of the whole program.
+// callees. main holds skip nodes (entry branches, joins) that its
+// skeleton drops, so main's skeleton is well short of main.
 const scratchSrc = `
 	int a, b, c, n;
 	int *p, *q, *r;
@@ -32,8 +33,7 @@ const scratchSrc = `
 	void leaf() { q = p; }
 `
 
-// maxFuncNodes is the node count of p's largest function: the most
-// dedup slots any one walk may need.
+// maxFuncNodes is the node count of p's largest function.
 func maxFuncNodes(p *ir.Program) int {
 	m := 0
 	for _, f := range p.Funcs {
@@ -42,22 +42,32 @@ func maxFuncNodes(p *ir.Program) int {
 	return m
 }
 
-// checkScratchFunctionSized asserts that every pooled walk scratch of e is
-// no larger than p's largest function, which is strictly smaller than
-// the program.
-func checkScratchFunctionSized(t *testing.T, e *Engine, p *ir.Program) {
+// maxSkeleton is the kept-node count of e's largest skeleton: the most
+// dedup slots any one walk of e may need.
+func maxSkeleton(e *Engine) int {
+	m := 0
+	for _, sk := range e.skels {
+		m = max(m, len(sk.locs))
+	}
+	return m
+}
+
+// checkScratchSkeletonSized asserts that every pooled walk scratch of e
+// is no larger than e's largest skeleton, which is strictly smaller than
+// p's largest function.
+func checkScratchSkeletonSized(t *testing.T, e *Engine, p *ir.Program) {
 	t.Helper()
-	limit := maxFuncNodes(p)
-	if limit >= len(p.Nodes) {
-		t.Fatalf("test program: largest function has %d nodes, program %d; need a strictly smaller function", limit, len(p.Nodes))
+	limit := maxSkeleton(e)
+	if limit >= maxFuncNodes(p) {
+		t.Fatalf("test program: largest skeleton has %d nodes, largest function %d; need a strictly smaller skeleton", limit, maxFuncNodes(p))
 	}
 	if len(e.scratch) == 0 {
 		t.Fatal("no pooled walk scratch after queries")
 	}
 	for i, s := range e.scratch {
 		if len(s.stamp) > limit || len(s.head) > limit {
-			t.Errorf("scratch %d: %d stamps, %d chain heads; want <= %d (largest function), program has %d nodes",
-				i, len(s.stamp), len(s.head), limit, len(p.Nodes))
+			t.Errorf("scratch %d: %d stamps, %d chain heads; want <= %d (largest skeleton), largest function has %d nodes",
+				i, len(s.stamp), len(s.head), limit, maxFuncNodes(p))
 		}
 	}
 }
@@ -96,34 +106,50 @@ func checkSameAnswers(t *testing.T, p *ir.Program, got, want *Engine, ptrs []ir.
 	}
 }
 
-// TestWalkScratchFunctionSized: walk scratches are sized by the walked
-// function, never by the program — also after an edit appends a node to
-// the first function, whose new location lands at the end of the
-// program's location space.
-func TestWalkScratchFunctionSized(t *testing.T) {
+// TestWalkScratchSkeletonSized: walk scratches are sized by the walked
+// skeleton, never by its function — also after an edit inserts a kept
+// node into main and Rebind drops the skeletons, so main's rebuilt
+// skeleton outgrows every scratch pooled before the edit.
+func TestWalkScratchSkeletonSized(t *testing.T) {
 	h := newHarness(t, scratchSrc)
 	ptrs := []ir.VarID{h.v(t, "p"), h.v(t, "q"), h.v(t, "r")}
 	e := h.engineFor(t)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	checkScratchFunctionSized(t, e, h.prog)
+	checkScratchSkeletonSized(t, e, h.prog)
 
-	// Insert a non-pointer statement after the entry of the first
-	// function: the engine's memoized state stays exact, so Rebind may
-	// carry it (and its scratch free list) over to the edited program.
+	// Insert a second call to leaf (q = p) right after main's own: p does
+	// not change between the two, so every answer stays the same and the
+	// engine's memoized state stays exact, and Rebind may carry it (and
+	// its scratch free list) over to the edited program. The call is a
+	// kept node: leaf modifies q.
 	q := h.prog.Clone()
 	first := q.Funcs[0]
 	if first.Name != "main" || len(first.Nodes) != maxFuncNodes(q) {
 		t.Fatalf("test program: first function is %s, want main, the largest", first.Name)
 	}
-	touch := ir.Stmt{Op: ir.OpTouch, Dst: q.VarByName["n"], Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}
-	if _, err := ir.ApplyEdits(q, []ir.Edit{{Kind: ir.EditInsertAfter, Loc: first.Entry, Stmt: touch}}); err != nil {
+	leaf := q.FuncByName["leaf"]
+	var anchor ir.Loc = ir.NoLoc
+	for _, loc := range first.Nodes {
+		if st := q.Node(loc).Stmt; st.Op == ir.OpCall && st.Callee == leaf {
+			anchor = loc
+		}
+	}
+	if anchor == ir.NoLoc {
+		t.Fatal("test program: main does not call leaf")
+	}
+	call := ir.Stmt{Op: ir.OpCall, Dst: ir.NoVar, Src: ir.NoVar, Callee: leaf, FPtr: ir.NoVar}
+	if _, err := ir.ApplyEdits(q, []ir.Edit{{Kind: ir.EditInsertAfter, Loc: anchor, Stmt: call}}); err != nil {
 		t.Fatalf("ApplyEdits: %v", err)
 	}
 	added := ir.Loc(len(q.Nodes) - 1)
 	if n := q.Node(added); n.Fn != first.ID || int(n.Index) != len(first.Nodes)-1 {
 		t.Fatalf("inserted L%d: fn %d index %d, want fn %d index %d", added, n.Fn, n.Index, first.ID, len(first.Nodes)-1)
+	}
+	before := len(e.skels[first.ID].locs)
+	if before != maxSkeleton(e) {
+		t.Fatalf("test program: main's skeleton has %d nodes, want the largest, %d", before, maxSkeleton(e))
 	}
 	sa := steens.Analyze(q)
 	aa := andersen.Analyze(q)
@@ -132,21 +158,27 @@ func TestWalkScratchFunctionSized(t *testing.T) {
 	e.Rebind(q, cg, sa, cluster.BuildWhole(q, sa), aa)
 	fresh := NewEngine(q, cg, sa, cluster.BuildWhole(q, sa), WithFallback(aa))
 	checkSameAnswers(t, q, e, fresh, ptrs)
-	checkScratchFunctionSized(t, e, q)
-	// The edited main outgrew every scratch pooled before the edit. Rebind
-	// keeps the free list, so walks through main grow one of those in place.
+	checkScratchSkeletonSized(t, e, q)
+	sk := e.skels[first.ID]
+	if len(sk.locs) != before+1 || sk.dense(q, added) < 0 {
+		t.Fatalf("main's skeleton after Rebind has %d nodes (inserted call kept: %v), want %d with the call",
+			len(sk.locs), sk.dense(q, added) >= 0, before+1)
+	}
+	// The rebuilt main outgrew every scratch pooled before the edit.
+	// Rebind keeps the free list, so walks through main grow one of those
+	// in place.
 	grown := false
 	for _, s := range pooled {
-		grown = grown || len(s.stamp) == len(first.Nodes)
+		grown = grown || len(s.stamp) == len(sk.locs)
 	}
 	if !grown {
-		t.Errorf("no scratch pooled before Rebind grew to the edited main's %d nodes", len(first.Nodes))
+		t.Errorf("no scratch pooled before Rebind grew to the edited main's %d-node skeleton", len(sk.locs))
 	}
 }
 
 // TestWalkScratchEpochWrap drives the stamp wrap-around reset: a pooled
-// scratch grown to main but last used for the smaller leaf, with its
-// epoch about to wrap, walks main again. Stale stamps equal to the
+// scratch grown to main's skeleton but last used for leaf's smaller one,
+// with its epoch about to wrap, walks main again. Stale stamps equal to the
 // restarted epoch would look current, so their chain heads would be read
 // as live: the walk would drop work or index past the emptied arena
 // anywhere in the grown slice. The answers must still equal a fresh
@@ -156,14 +188,11 @@ func TestWalkScratchEpochWrap(t *testing.T) {
 	q := h.v(t, "q")
 	ptrs := []ir.VarID{h.v(t, "p"), q, h.v(t, "r")}
 	leaf, main := h.prog.Func(h.prog.FuncByName["leaf"]), h.prog.Func(h.prog.FuncByName["main"])
-	if len(leaf.Nodes) >= len(main.Nodes) {
-		t.Fatal("test program: leaf must be smaller than main")
-	}
 
 	e := h.engineFor(t)
 	fresh := h.engineFor(t)
-	// Neither walk reaches a call, so both use one scratch: grown to main,
-	// then reused for leaf.
+	// Neither walk reaches a call, so both use one scratch: grown to
+	// main's skeleton, then reused for leaf's.
 	e.SummaryAt(h.prog.Node(main.Entry).Succs[0], q)
 	for _, v := range ptrs {
 		e.SummaryAt(leaf.Exit, v)
@@ -171,9 +200,13 @@ func TestWalkScratchEpochWrap(t *testing.T) {
 	if len(e.scratch) != 1 {
 		t.Fatalf("%d pooled scratches, want 1", len(e.scratch))
 	}
+	mainSk, leafSk := len(e.skels[main.ID].locs), len(e.skels[leaf.ID].locs)
+	if leafSk >= mainSk {
+		t.Fatalf("test program: leaf's skeleton (%d nodes) must be smaller than main's (%d)", leafSk, mainSk)
+	}
 	s := e.scratch[0]
-	if len(s.stamp) != len(main.Nodes) {
-		t.Fatalf("scratch has %d stamps, want main's %d nodes", len(s.stamp), len(main.Nodes))
+	if len(s.stamp) != mainSk {
+		t.Fatalf("scratch has %d stamps, want main's %d skeleton nodes", len(s.stamp), mainSk)
 	}
 	// Make every slot look live at epoch 1, the epoch the reset restarts
 	// at, with each tracked pointer already in its chain: unless the reset
@@ -294,7 +327,7 @@ func TestWalkAllocFree(t *testing.T) {
 
 	for _, v := range []ir.VarID{p, q, r} {
 		walk := func() tupSet {
-			return e.walkBack(mainFn.ID, VarTok(v), h.prog.Node(mainFn.Exit).Preds, e.summaryLookup)
+			return e.walkBack(VarTok(v), mainFn.Exit, e.summaryLookup)
 		}
 		res := walk()
 		if len(res) == 0 {

@@ -132,8 +132,9 @@ type Node struct {
 	CallLoc Loc
 
 	// Index is the node's position in its function's Func.Nodes: a dense
-	// per-function numbering, so per-walk state over one function's nodes
-	// is sized by that function rather than by the whole program.
+	// per-function numbering, so state over one function's nodes (such
+	// as the FSCS skeleton build) is sized by that function rather than
+	// by the whole program.
 	Index int32
 }
 
