@@ -13,7 +13,8 @@
 //
 //	POST /v1/mayalias {"p":"x","q":"y","at":"main"}
 //	POST /v1/pointsto {"p":"x"}
-//	POST /v1/lockset  {}
+//	POST /v1/lockset  {}  race report: a view of the memoized lockset
+//	                  check run; solves only lock-pointer clusters
 //	POST /v1/check    {"pass":"lockset"}  run a checker pass (lockset,
 //	                  deadlock, nullcheck, uaf) against the live snapshot;
 //	                  findings carry aliaslint fingerprints + snapshot id

@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,12 +41,12 @@ import (
 	"time"
 
 	"bootstrap/internal/bench"
+	"bootstrap/internal/check"
 	"bootstrap/internal/cliutil"
 	"bootstrap/internal/core"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/lockset"
-	"bootstrap/internal/nullcheck"
 )
 
 var (
@@ -224,19 +225,40 @@ func run(path string) (err error) {
 		fmt.Printf("pts(%s) at L%d = {%s}%s\n", name, loc, strings.Join(names, ", "), note)
 	}
 
+	return runChecks(a, sess)
+}
+
+// runChecks runs the client analyses selected by -races and -nullderef
+// through the checker framework and prints a summary line per pass
+// followed by its findings.
+func runChecks(a *core.Analysis, sess *cliutil.Session) error {
+	var passes []check.Pass
 	if *races {
-		det := lockset.NewDetector(a, lockset.Config{})
-		found, accesses := det.Detect()
-		fmt.Printf("threads: %d, shared accesses: %d, races: %d\n",
-			len(det.Threads()), len(accesses), len(found))
-		for _, r := range found {
-			fmt.Println("  " + r.Format(a.Prog))
-		}
+		passes = append(passes, &check.LocksetPass{})
 	}
 	if *nullDeref {
-		warnings := nullcheck.Check(a)
-		fmt.Printf("suspicious dereferences: %d\n", len(warnings))
-		fmt.Print(nullcheck.FormatAll(a.Prog, warnings))
+		passes = append(passes, &check.NullcheckPass{})
+	}
+	if len(passes) == 0 {
+		return nil
+	}
+	rep := check.Run(context.Background(), a, check.Options{
+		Passes: passes, Tracer: sess.Tracer, Metrics: sess.Metrics,
+	})
+	for i, res := range rep.Results {
+		if res.Err != nil {
+			return res.Err
+		}
+		switch p := passes[i].(type) {
+		case *check.LocksetPass:
+			fmt.Printf("threads: %d, shared accesses: %d, races: %d\n",
+				p.Threads, p.Accesses, len(res.Diags))
+		case *check.NullcheckPass:
+			fmt.Printf("suspicious dereferences: %d\n", len(res.Diags))
+		}
+		for _, d := range res.Diags {
+			fmt.Println("  " + d.Message)
+		}
 	}
 	return nil
 }

@@ -3,8 +3,11 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -167,5 +170,63 @@ func TestRunNullDeref(t *testing.T) {
 	_ = flag.Set("nullderef", "true")
 	if err := run("../../testdata/driver.cpl"); err != nil {
 		t.Fatalf("-nullderef run: %v", err)
+	}
+}
+
+// captureRun runs the command on path with the given flags set and
+// returns its stdout lines.
+func captureRun(t *testing.T, path string, flags ...string) []string {
+	t.Helper()
+	resetFlags()
+	for _, f := range flags {
+		if err := flag.Set(f, "true"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		out <- data
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(path)
+	os.Stdout = stdout
+	w.Close()
+	data := <-out
+	if runErr != nil {
+		t.Fatalf("run %v: %v", flags, runErr)
+	}
+	return strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+}
+
+// TestChecksOutput pins what -races and -nullderef print on the sample
+// driver, in any order: the summary line and every finding line.
+func TestChecksOutput(t *testing.T) {
+	const path = "../../testdata/driver.cpl"
+	for _, tc := range []struct {
+		flag string
+		want []string
+	}{
+		{"races", []string{
+			"threads: 2, shared accesses: 8, races: 3",
+			"  race on stats: write at L21 (thread thread_open, locks {}) vs write at L21 (thread thread_open, locks {})",
+			"  race on stats: write at L21 (thread thread_open, locks {}) vs write at L38 (thread thread_close, locks {})",
+			"  race on stats: write at L38 (thread thread_close, locks {}) vs write at L38 (thread thread_close, locks {})",
+		}},
+		{"nullderef", []string{"suspicious dereferences: 0"}},
+	} {
+		got := captureRun(t, path, tc.flag)
+		sort.Strings(got)
+		want := append([]string(nil), tc.want...)
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("-%s output:\n%s\nwant (any order):\n%s",
+				tc.flag, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }

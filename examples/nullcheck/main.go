@@ -8,11 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"bootstrap/internal/check"
 	"bootstrap/internal/core"
-	"bootstrap/internal/nullcheck"
 )
 
 const program = `
@@ -51,9 +52,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	warnings := nullcheck.Check(analysis)
-	fmt.Printf("%d suspicious dereferences:\n", len(warnings))
-	fmt.Print(nullcheck.FormatAll(analysis.Prog, warnings))
+	rep := check.Run(context.Background(), analysis, check.Options{
+		Passes: []check.Pass{&check.NullcheckPass{}},
+	})
+	findings := rep.Diagnostics()
+	fmt.Printf("%d suspicious dereferences:\n", len(findings))
+	for _, d := range findings {
+		fmt.Println("  " + d.Message)
+	}
 	fmt.Println("\nnote: the dereference of `ok` is NOT reported — the")
 	fmt.Println("flow-sensitive analysis sees the reassignment, which a")
 	fmt.Println("flow-insensitive points-to analysis cannot.")

@@ -1,8 +1,6 @@
-// Package callgraph builds the function call graph of an IR program and
-// computes its strongly connected components. The paper's interprocedural
-// summary computation (Algorithm 5) processes call-graph SCCs in reverse
-// topological order — callees before callers — with a fixpoint inside each
-// SCC to handle recursion; this package supplies that order.
+// Package callgraph builds the function call graph of an IR program
+// from its direct call nodes: callees, callers, call sites and
+// reachability.
 //
 // The builder uses direct call edges only, so programs with function
 // pointers should be devirtualized first (frontend.Devirtualize).
@@ -23,9 +21,6 @@ type Graph struct {
 
 	// sites[g] lists, per caller, the call nodes invoking g.
 	sites map[ir.FuncID][]ir.Loc
-
-	sccs  [][]ir.FuncID // reverse topological (callees first)
-	sccOf map[ir.FuncID]int
 }
 
 // Build constructs the call graph of p from direct call nodes.
@@ -35,7 +30,6 @@ func Build(p *ir.Program) *Graph {
 		callees: map[ir.FuncID][]ir.FuncID{},
 		callers: map[ir.FuncID][]ir.FuncID{},
 		sites:   map[ir.FuncID][]ir.Loc{},
-		sccOf:   map[ir.FuncID]int{},
 	}
 	type edge struct{ from, to ir.FuncID }
 	seen := map[edge]bool{}
@@ -57,7 +51,6 @@ func Build(p *ir.Program) *Graph {
 			sort.Slice(m[k], func(i, j int) bool { return m[k][i] < m[k][j] })
 		}
 	}
-	g.tarjan()
 	return g
 }
 
@@ -81,32 +74,6 @@ func (g *Graph) CallSitesIn(caller, callee ir.FuncID) []ir.Loc {
 	return out
 }
 
-// SCCs returns the strongly connected components in reverse topological
-// order: every SCC appears before any SCC that calls into it, so iterating
-// in order processes callees before callers.
-func (g *Graph) SCCs() [][]ir.FuncID { return g.sccs }
-
-// SCCOf returns the index (into SCCs) of f's component.
-func (g *Graph) SCCOf(f ir.FuncID) int { return g.sccOf[f] }
-
-// InSameSCC reports whether f and h are mutually recursive (or identical).
-func (g *Graph) InSameSCC(f, h ir.FuncID) bool { return g.sccOf[f] == g.sccOf[h] }
-
-// Recursive reports whether f participates in recursion (self-loop or an
-// SCC with more than one member).
-func (g *Graph) Recursive(f ir.FuncID) bool {
-	scc := g.sccs[g.sccOf[f]]
-	if len(scc) > 1 {
-		return true
-	}
-	for _, c := range g.callees[f] {
-		if c == f {
-			return true
-		}
-	}
-	return false
-}
-
 // Reachable returns the functions reachable from entry (inclusive), sorted.
 func (g *Graph) Reachable(entry ir.FuncID) []ir.FuncID {
 	seen := map[ir.FuncID]bool{entry: true}
@@ -127,80 +94,4 @@ func (g *Graph) Reachable(entry ir.FuncID) []ir.FuncID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// tarjan computes SCCs iteratively; Tarjan's algorithm emits components in
-// reverse topological order of the condensation.
-func (g *Graph) tarjan() {
-	n := len(g.prog.Funcs)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []ir.FuncID
-	next := 0
-
-	type frame struct {
-		f  ir.FuncID
-		ci int // next callee index to visit
-	}
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		frames := []frame{{f: ir.FuncID(start)}}
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, ir.FuncID(start))
-		onStack[start] = true
-		for len(frames) > 0 {
-			fr := &frames[len(frames)-1]
-			callees := g.callees[fr.f]
-			if fr.ci < len(callees) {
-				c := callees[fr.ci]
-				fr.ci++
-				if index[c] == -1 {
-					index[c] = next
-					low[c] = next
-					next++
-					stack = append(stack, c)
-					onStack[c] = true
-					frames = append(frames, frame{f: c})
-				} else if onStack[c] {
-					if index[c] < low[fr.f] {
-						low[fr.f] = index[c]
-					}
-				}
-				continue
-			}
-			// fr.f finished.
-			if low[fr.f] == index[fr.f] {
-				var scc []ir.FuncID
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == fr.f {
-						break
-					}
-				}
-				sort.Slice(scc, func(i, j int) bool { return scc[i] < scc[j] })
-				for _, f := range scc {
-					g.sccOf[f] = len(g.sccs)
-				}
-				g.sccs = append(g.sccs, scc)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[fr.f] < low[parent.f] {
-					low[parent.f] = low[fr.f]
-				}
-			}
-		}
-	}
 }

@@ -25,6 +25,31 @@ func fid(t *testing.T, p *ir.Program, name string) ir.FuncID {
 	return f
 }
 
+// recursive reports whether f can reach itself through a call.
+func recursive(g *Graph, f ir.FuncID) bool {
+	for _, c := range g.Callees(f) {
+		for _, r := range g.Reachable(c) {
+			if r == f {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sameFuncs reports whether got lists exactly want, in order.
+func sameFuncs(got []ir.FuncID, want ...ir.FuncID) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestSimpleChain(t *testing.T) {
 	p, g := build(t, `
 		void c() { }
@@ -39,18 +64,21 @@ func TestSimpleChain(t *testing.T) {
 	if got := g.Callers(c); len(got) != 1 || got[0] != b {
 		t.Errorf("Callers(c) = %v, want [b]", got)
 	}
-	// Reverse topological order: c before b before a before main.
-	pos := map[ir.FuncID]int{}
-	for i, scc := range g.SCCs() {
-		for _, f := range scc {
-			pos[f] = i
-		}
+	if got := g.Callers(m); len(got) != 0 {
+		t.Errorf("Callers(main) = %v, want none", got)
 	}
-	if !(pos[c] < pos[b] && pos[b] < pos[a] && pos[a] < pos[m]) {
-		t.Errorf("SCC order wrong: c=%d b=%d a=%d main=%d", pos[c], pos[b], pos[a], pos[m])
+	// Each function reaches exactly its suffix of the chain.
+	if got := g.Reachable(c); !sameFuncs(got, c) {
+		t.Errorf("Reachable(c) = %v, want [c]", got)
+	}
+	if got := g.Reachable(a); !sameFuncs(got, c, b, a) {
+		t.Errorf("Reachable(a) = %v, want [c b a]", got)
+	}
+	if got := g.Reachable(m); !sameFuncs(got, c, b, a, m) {
+		t.Errorf("Reachable(main) = %v, want [c b a main]", got)
 	}
 	for _, f := range []ir.FuncID{a, b, c, m} {
-		if g.Recursive(f) {
+		if recursive(g, f) {
 			t.Errorf("%s misreported as recursive", p.Func(f).Name)
 		}
 	}
@@ -61,12 +89,18 @@ func TestSelfRecursion(t *testing.T) {
 		void r() { if (*) { r(); } }
 		void main() { r(); }
 	`)
-	r := fid(t, p, "r")
-	if !g.Recursive(r) {
-		t.Error("self-recursive function not detected")
+	r, m := fid(t, p, "r"), fid(t, p, "main")
+	if got := g.Callees(r); !sameFuncs(got, r) {
+		t.Errorf("Callees(r) = %v, want [r]", got)
 	}
-	if len(g.SCCs()[g.SCCOf(r)]) != 1 {
-		t.Error("self-recursion should be a singleton SCC")
+	if got := g.Callers(r); !sameFuncs(got, r, m) {
+		t.Errorf("Callers(r) = %v, want [r main]", got)
+	}
+	if got := g.Reachable(r); !sameFuncs(got, r) {
+		t.Errorf("Reachable(r) = %v, want [r]: self-recursion reaches nothing else", got)
+	}
+	if !recursive(g, r) || recursive(g, m) {
+		t.Error("only r is recursive")
 	}
 }
 
@@ -77,17 +111,23 @@ func TestMutualRecursion(t *testing.T) {
 		void main() { even(null); }
 	`)
 	odd, even, m := fid(t, p, "odd"), fid(t, p, "even"), fid(t, p, "main")
-	if !g.InSameSCC(odd, even) {
-		t.Error("odd and even should share an SCC")
+	if got := g.Callees(odd); !sameFuncs(got, even) {
+		t.Errorf("Callees(odd) = %v, want [even]", got)
 	}
-	if g.InSameSCC(odd, m) {
-		t.Error("main should not be in the recursive SCC")
+	if got := g.Callers(even); !sameFuncs(got, odd, m) {
+		t.Errorf("Callers(even) = %v, want [odd main]", got)
 	}
-	if !g.Recursive(odd) || !g.Recursive(even) {
+	// odd and even reach each other but not main.
+	for _, f := range []ir.FuncID{odd, even} {
+		if got := g.Reachable(f); !sameFuncs(got, odd, even) {
+			t.Errorf("Reachable(%s) = %v, want [odd even]", p.Func(f).Name, got)
+		}
+	}
+	if !recursive(g, odd) || !recursive(g, even) {
 		t.Error("mutually recursive functions not detected")
 	}
-	if g.SCCOf(odd) >= g.SCCOf(m) {
-		t.Error("the recursive SCC must precede main in reverse topological order")
+	if recursive(g, m) {
+		t.Error("main is not recursive")
 	}
 }
 
@@ -132,25 +172,5 @@ func TestReachable(t *testing.T) {
 	}
 	if names["dead"] || names["deadCallee"] {
 		t.Errorf("Reachable = %v, must not include dead code", names)
-	}
-}
-
-func TestSCCsCoverAllFunctions(t *testing.T) {
-	p, g := build(t, `
-		void a() { b(); }
-		void b() { if (*) { a(); } c(); }
-		void c() { }
-		void lonely() { }
-		void main() { a(); }
-	`)
-	count := 0
-	for _, scc := range g.SCCs() {
-		count += len(scc)
-	}
-	if count != len(p.Funcs) {
-		t.Errorf("SCCs cover %d functions, want %d", count, len(p.Funcs))
-	}
-	if !g.InSameSCC(fid(t, p, "a"), fid(t, p, "b")) {
-		t.Error("a and b are mutually recursive")
 	}
 }

@@ -31,6 +31,9 @@ func (s locksetSrc) PointsTo(p ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
 type LocksetPass struct {
 	// Config tunes the detector (zero value = defaults).
 	Config lockset.Config
+	// Threads and Accesses count the thread entries and shared accesses
+	// the last Run saw.
+	Threads, Accesses int
 }
 
 // Name implements Pass.
@@ -50,7 +53,8 @@ func (p *LocksetPass) Footprint(prog *ir.Program) func(*ir.Var) bool {
 // Run implements Pass.
 func (p *LocksetPass) Run(ctx context.Context, c *Core) ([]Diagnostic, error) {
 	det := lockset.NewDetectorSource(locksetSrc{ctx: ctx, c: c}, p.Config)
-	races, _ := det.Detect()
+	races, accesses := det.Detect()
+	p.Threads, p.Accesses = len(det.Threads()), len(accesses)
 	prog := c.Prog()
 	out := make([]Diagnostic, 0, len(races))
 	for _, r := range races {

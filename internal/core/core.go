@@ -89,11 +89,10 @@ type Config struct {
 	Retries int
 	// Faults injects deterministic faults into chosen clusters — the
 	// testing/chaos hook for the fault-tolerance layer. Nil injects
-	// nothing. Faults apply to the eager scheduler and to query-time
-	// solves (EnsureCluster); engines created implicitly by the classic
-	// query methods in Lazy mode are not covered. While the plan has any
-	// armed fault (Plan.Active), the result cache is bypassed: injected
-	// behavior is attempt-local by design.
+	// nothing. Faults apply to every solve, eager or at query time
+	// (EnsureCluster). While the plan has any armed fault (Plan.Active),
+	// the result cache is bypassed: injected behavior is attempt-local
+	// by design.
 	Faults *faults.Plan
 	// MaxCond bounds constraint conjunctions (default 8).
 	MaxCond int
@@ -127,8 +126,8 @@ type Config struct {
 	// up, hits import the stored summary tables and points-to sets instead
 	// of solving (bit-for-bit identical results, per Theorem 6), and
 	// first-attempt healthy solves are stored back. The cache may be
-	// shared across runs and programs; see package cache. Fault injection
-	// (Faults) bypasses it, and lazy query-time engines are not cached.
+	// shared across runs and programs; see package cache. Query-time
+	// solves use it too; fault injection (Faults) bypasses it.
 	Cache *cache.Cache
 	// Tracer, when non-nil, records one span per cascade phase (parse,
 	// Steensgaard, One-Flow, clustering, fallback, FSCS stage), per
@@ -353,208 +352,80 @@ func buildWithOneFlow(prog *ir.Program, sa *steens.Analysis, of *oneflow.Analysi
 	return out
 }
 
-// getEngine returns (creating lazily when Config.Lazy) the engine of a
-// selected cluster; nil if the cluster was not selected. Callers must hold
-// a.mu.
-func (a *Analysis) getEngine(clusterID int) *fscs.Engine {
-	if e, ok := a.engines[clusterID]; ok {
-		return e
-	}
-	c, ok := a.selected[clusterID]
-	if !ok || !a.cfg.Lazy {
-		return nil
-	}
-	// Lazy mode: create the engine without a Run — the query itself
-	// drives exactly the summary and points-to computation it needs.
-	e := fscs.NewEngine(a.Prog, a.CallGraph, a.Steens, c,
-		fscs.WithFallback(a.Andersen),
-		fscs.WithBudget(a.cfg.ClusterBudget),
-		fscs.WithMaxCond(maxCondOrDefault(a.cfg.MaxCond)),
-		fscs.WithMetrics(a.cfg.Metrics))
-	a.engines[clusterID] = e
-	return e
-}
-
-// Engine returns the FSCS engine of a cluster (nil if the cluster was not
-// selected for analysis). In lazy mode the engine is created on first use.
+// Engine returns the FSCS engine of a cluster: nil if the cluster was
+// not selected, was demoted, or has not been solved yet (a lazy cluster
+// solves on its first query, or through EnsureCluster).
 func (a *Analysis) Engine(clusterID int) *fscs.Engine {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.getEngine(clusterID)
+	return a.engines[clusterID]
 }
 
 // ClustersOf returns the IDs of the analyzed clusters containing p.
 func (a *Analysis) ClustersOf(p ir.VarID) []int { return a.byPointer[p] }
 
-// MayAlias reports whether p and q may alias at loc: per Theorems 6 and 7
-// it suffices to check the clusters containing p. Engines are not
-// concurrency-safe, so queries are serialized.
+// The classic queries below answer exactly like their context-first
+// twins in query.go (MayAliasContext, ...) with no deadline: cold
+// clusters solve on first touch through EnsureCluster, in every mode.
+
+// MayAlias reports whether p and q may alias at loc (see MayAliasContext).
 func (a *Analysis) MayAlias(p, q ir.VarID, loc ir.Loc) bool {
-	if p == q {
-		return true
-	}
-	if !a.Steens.SamePartition(p, q) {
-		return false // disjoint cover: cannot alias
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ids := a.byPointer[p]
-	if len(ids) == 0 {
-		// p was not selected (demand-driven or hybrid mode) — fall back
-		// soundly to the flow-insensitive result.
-		return a.Andersen.MayAlias(p, q)
-	}
-	for _, id := range ids {
-		eng := a.getEngine(id)
-		if eng == nil {
-			continue
-		}
-		if !eng.Cluster().HasPointer(q) {
-			continue
-		}
-		if eng.MayAlias(p, q, loc) {
-			return true
-		}
-	}
-	// If no analyzed cluster contains both, they share no Andersen
-	// object; under the disjunctive cover they cannot alias unless the
-	// flow-insensitive fallback says so for unanalyzed pairs.
-	for _, id := range ids {
-		if eng := a.getEngine(id); eng != nil && eng.Cluster().HasPointer(q) {
-			return false
-		}
-	}
-	return a.Andersen.MayAlias(p, q)
+	may, _ := a.MayAliasContext(context.Background(), p, q, loc)
+	return may
+}
+
+// MustAlias reports whether p and q must alias at loc (see
+// MustAliasContext).
+func (a *Analysis) MustAlias(p, q ir.VarID, loc ir.Loc) bool {
+	must, _ := a.MustAliasContext(context.Background(), p, q, loc)
+	return must
+}
+
+// PointsTo returns the objects p may reference at loc and whether the
+// answer is precise (see PointsToContext).
+func (a *Analysis) PointsTo(p ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
+	return a.PointsToContext(context.Background(), p, loc)
+}
+
+// DerefState resolves what a dereference of p at loc may observe (see
+// DerefStateContext).
+func (a *Analysis) DerefState(p ir.VarID, loc ir.Loc) (objs []ir.VarID, mayNull, mayUninit, precise bool) {
+	return a.DerefStateContext(context.Background(), p, loc)
 }
 
 // Aliases returns the pointers that may alias p at loc: the union of the
 // per-cluster alias sets (condition (ii) of Section 2).
 func (a *Analysis) Aliases(p ir.VarID, loc ir.Loc) []ir.VarID {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	set := map[ir.VarID]bool{}
 	for _, id := range a.byPointer[p] {
-		eng := a.getEngine(id)
+		eng, _, _ := a.EnsureCluster(context.Background(), id)
 		if eng == nil {
 			continue
 		}
+		a.mu.Lock()
 		for _, q := range eng.Aliases(p, loc) {
 			set[q] = true
 		}
+		a.mu.Unlock()
 	}
-	out := make([]ir.VarID, 0, len(set))
-	for q := range set {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// MustAlias reports whether p and q must alias at loc, via any analyzed
-// cluster containing both.
-func (a *Analysis) MustAlias(p, q ir.VarID, loc ir.Loc) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, id := range a.byPointer[p] {
-		eng := a.getEngine(id)
-		if eng == nil || !eng.Cluster().HasPointer(q) {
-			continue
-		}
-		if eng.MustAlias(p, q, loc) {
-			return true
-		}
-	}
-	return false
-}
-
-// PointsTo returns the objects p may reference at loc (union over p's
-// clusters), and whether every contributing engine was precise.
-func (a *Analysis) PointsTo(p ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	set := map[ir.VarID]bool{}
-	precise := true
-	found := false
-	for _, id := range a.byPointer[p] {
-		eng := a.getEngine(id)
-		if eng == nil {
-			continue
-		}
-		found = true
-		objs, ok := eng.Values(p, loc)
-		precise = precise && ok
-		for _, o := range objs {
-			set[o] = true
-		}
-	}
-	if !found {
-		var objs []ir.VarID
-		a.Andersen.PointsToSet(p).ForEach(func(o int) bool {
-			objs = append(objs, ir.VarID(o))
-			return true
-		})
-		return objs, false
-	}
-	out := make([]ir.VarID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, precise
-}
-
-// DerefState resolves what a dereference of p at loc may observe: the
-// referable objects, whether some path arrives with p null or
-// uninitialized, and whether the answer is precise. Pointers outside every
-// analyzed cluster fall back to the flow-insensitive set with
-// precise=false and unknown flags cleared.
-func (a *Analysis) DerefState(p ir.VarID, loc ir.Loc) (objs []ir.VarID, mayNull, mayUninit, precise bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	set := map[ir.VarID]bool{}
-	precise = true
-	found := false
-	for _, id := range a.byPointer[p] {
-		eng := a.getEngine(id)
-		if eng == nil {
-			continue
-		}
-		found = true
-		st := eng.ValueState(p, loc)
-		precise = precise && !st.Unknown
-		mayNull = mayNull || st.Null
-		mayUninit = mayUninit || st.Uninit
-		for _, o := range st.Objs {
-			set[o] = true
-		}
-	}
-	if !found {
-		objs, _ = a.PointsToLockedFallback(p)
-		return objs, false, false, false
-	}
-	objs = make([]ir.VarID, 0, len(set))
-	for o := range set {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	return objs, mayNull, mayUninit, precise
+	return sortedVars(set)
 }
 
 // ValuesInContext returns the objects p may reference at loc when reached
 // via the given call path (fully flow- AND context-sensitive), unioned
 // over p's clusters. The boolean reports precision.
 func (a *Analysis) ValuesInContext(p ir.VarID, loc ir.Loc, ctx fscs.Context) ([]ir.VarID, bool, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	set := map[ir.VarID]bool{}
 	precise := true
 	found := false
 	for _, id := range a.byPointer[p] {
-		eng := a.getEngine(id)
+		eng, _, _ := a.EnsureCluster(context.Background(), id)
 		if eng == nil {
 			continue
 		}
+		a.mu.Lock()
 		objs, ok, err := eng.ValuesInContext(p, loc, ctx)
+		a.mu.Unlock()
 		if err != nil {
 			return nil, false, err
 		}
@@ -565,39 +436,27 @@ func (a *Analysis) ValuesInContext(p ir.VarID, loc ir.Loc, ctx fscs.Context) ([]
 		}
 	}
 	if !found {
-		objs, ok := a.PointsToLockedFallback(p)
-		return objs, ok, nil
+		return a.fallbackPointsTo(p), false, nil
 	}
-	out := make([]ir.VarID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, precise, nil
-}
-
-// PointsToLockedFallback returns the flow-insensitive points-to set; the
-// caller must hold a.mu. The boolean is always false (imprecise).
-func (a *Analysis) PointsToLockedFallback(p ir.VarID) ([]ir.VarID, bool) {
-	var objs []ir.VarID
-	a.Andersen.PointsToSet(p).ForEach(func(o int) bool {
-		objs = append(objs, ir.VarID(o))
-		return true
-	})
-	return objs, false
+	return sortedVars(set), precise, nil
 }
 
 // MustAliasInContext reports whether p and q must alias at loc in the
 // given call path, via any analyzed cluster containing both.
 func (a *Analysis) MustAliasInContext(p, q ir.VarID, loc ir.Loc, ctx fscs.Context) (bool, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for _, id := range a.byPointer[p] {
-		eng := a.getEngine(id)
-		if eng == nil || !eng.Cluster().HasPointer(q) {
+		eng, _, _ := a.EnsureCluster(context.Background(), id)
+		if eng == nil {
 			continue
 		}
-		ok, err := eng.MustAliasInContext(p, q, loc, ctx)
+		a.mu.Lock()
+		has := eng.Cluster().HasPointer(q)
+		var ok bool
+		var err error
+		if has {
+			ok, err = eng.MustAliasInContext(p, q, loc, ctx)
+		}
+		a.mu.Unlock()
 		if err != nil {
 			return false, err
 		}
@@ -606,6 +465,26 @@ func (a *Analysis) MustAliasInContext(p, q ir.VarID, loc ir.Loc, ctx fscs.Contex
 		}
 	}
 	return false, nil
+}
+
+// fallbackPointsTo returns p's flow-insensitive points-to set.
+func (a *Analysis) fallbackPointsTo(p ir.VarID) []ir.VarID {
+	var objs []ir.VarID
+	a.Andersen.PointsToSet(p).ForEach(func(o int) bool {
+		objs = append(objs, ir.VarID(o))
+		return true
+	})
+	return objs
+}
+
+// sortedVars returns the members of set in ascending order.
+func sortedVars(set map[ir.VarID]bool) []ir.VarID {
+	out := make([]ir.VarID, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // SimulateParallel reproduces the paper's experiment setup: distribute the

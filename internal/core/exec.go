@@ -144,8 +144,8 @@ func (a *Analysis) execute(ctx context.Context, pl *Plan, clusters <-chan *clust
 		if s.eng != nil {
 			a.engines[s.c.ID] = s.eng
 		} else {
-			// Permanently demoted: deselect so lazy queries cannot
-			// resurrect the engine.
+			// Permanently demoted: deselect so queries answer from the
+			// fallback instead of solving again.
 			delete(a.selected, s.c.ID)
 		}
 		healths[i] = s.h

@@ -9,15 +9,14 @@ import (
 	"bootstrap/internal/ir"
 )
 
-// This file is the context-first query surface: the demand-driven API a
-// long-lived caller (the aliasd daemon, an IDE loop) uses to answer alias
-// queries lazily under a per-query deadline. Unlike the classic query
-// methods (MayAlias, PointsTo, ...), which create lazy engines implicitly
-// and compute under the analysis lock, these methods solve a cluster at
-// most once through the fault-tolerant RunCluster ladder — concurrent
-// first touches coalesce into one solve (single flight) — and degrade to
-// the flow-insensitive fallback when the caller's context expires before
-// the solve lands, instead of blocking or erroring.
+// This file is the context-first query surface, the one query path of
+// an Analysis: the classic methods in core.go (MayAlias, PointsTo, ...)
+// forward here with no deadline. A cluster solves at most once, through
+// the fault-tolerant RunCluster ladder and the result cache, whether the
+// run is eager or lazy — concurrent first touches coalesce into one
+// solve (single flight) — and a query degrades to the flow-insensitive
+// fallback when the caller's context expires before the solve lands,
+// instead of blocking or erroring.
 
 // inflight is one single-flight cluster solve. done is closed when the
 // solve finished (successfully or demoted); eng/health are valid after.
@@ -89,8 +88,8 @@ func (a *Analysis) solveCluster(id int, c *cluster.Cluster, s *inflight) {
 	if eng != nil {
 		a.engines[id] = eng
 	} else {
-		// Permanently demoted: deselect so neither this path nor the
-		// classic lazy getEngine path can resurrect the engine.
+		// Permanently demoted: deselect so later queries answer from
+		// the fallback instead of solving again.
 		delete(a.selected, id)
 	}
 	a.queryHealth[id] = h
@@ -279,7 +278,7 @@ func (a *Analysis) MustAliasContext(ctx context.Context, p, q ir.VarID, loc ir.L
 // still solving at the deadline clears precise (the flags stay sound for
 // the clusters that did answer). Pointers outside every analyzed cluster
 // fall back to the flow-insensitive set with precise=false and unknown
-// flags cleared, mirroring the classic DerefState.
+// flags cleared.
 func (a *Analysis) DerefStateContext(ctx context.Context, p ir.VarID, loc ir.Loc) (objs []ir.VarID, mayNull, mayUninit, precise bool) {
 	set := map[ir.VarID]bool{}
 	precise = true
@@ -302,17 +301,9 @@ func (a *Analysis) DerefStateContext(ctx context.Context, p ir.VarID, loc ir.Loc
 		}
 	}
 	if !found {
-		a.mu.Lock()
-		objs, _ = a.PointsToLockedFallback(p)
-		a.mu.Unlock()
-		return objs, false, false, false
+		return a.fallbackPointsTo(p), false, false, false
 	}
-	objs = make([]ir.VarID, 0, len(set))
-	for o := range set {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	return objs, mayNull, mayUninit, precise
+	return sortedVars(set), mayNull, mayUninit, precise
 }
 
 // PointsToContext is the context-first PointsTo: the union of p's
@@ -349,10 +340,5 @@ func (a *Analysis) PointsToContext(ctx context.Context, p ir.VarID, loc ir.Loc) 
 		})
 		precise = false
 	}
-	out := make([]ir.VarID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, precise
+	return sortedVars(set), precise
 }

@@ -4,8 +4,8 @@
 // summaries capture local maximally complete update sequences (Definitions
 // 3–4) as tuples (pointer, source, condition) per Definition 8, are
 // computed by a backward CFG walk (Algorithm 4 transfer + Algorithm 5
-// interprocedural worklist, with a fixpoint over call-graph SCCs for
-// recursion), and are spliced across functions to answer flow-sensitive
+// interprocedural worklist, iterating the summaries a recursive request
+// involves to a fixpoint), and are spliced across functions to answer flow-sensitive
 // context-insensitive (Algorithm 3) and fully context-sensitive queries.
 // Summary computation and FSCI points-to computation are dovetailed down
 // the Steensgaard hierarchy (Algorithm 2) via memoized demand: resolving a

@@ -21,7 +21,6 @@ import (
 	"sort"
 	"strings"
 
-	"bootstrap/internal/core"
 	"bootstrap/internal/ir"
 )
 
@@ -144,18 +143,13 @@ func equalSets(s, t lockSet) bool {
 }
 
 // Source is the analysis surface the detector consumes: the program and
-// a points-to query for resolving lock pointers to lock objects.
-// *core.Analysis is the classic provider (see NewDetector); the checker
-// framework adapts its deadline-scoped, demand-driven query handle.
+// a points-to query for resolving lock pointers to lock objects. The
+// checker framework (package check) provides it over its
+// deadline-scoped, demand-driven query handle.
 type Source interface {
 	Program() *ir.Program
 	PointsTo(p ir.VarID, loc ir.Loc) ([]ir.VarID, bool)
 }
-
-// analysisSource adapts *core.Analysis to Source (PointsTo is promoted).
-type analysisSource struct{ *core.Analysis }
-
-func (s analysisSource) Program() *ir.Program { return s.Prog }
 
 // OrderEdge is one observed lock-order fact: while Held was definitely
 // held, the thread acquired Acquired at Loc. The deadlock checker builds
@@ -185,16 +179,9 @@ type Detector struct {
 	order []OrderEdge
 }
 
-// NewDetector prepares detection over an analysis. For best results the
-// analysis should have been run with core.Config.Demand selecting lock
-// pointers (see LockDemand).
-func NewDetector(a *core.Analysis, cfg Config) *Detector {
-	return NewDetectorSource(analysisSource{a}, cfg)
-}
-
-// NewDetectorSource prepares detection over any Source — the seam the
-// checker framework uses to route lock resolution through its
-// demand-driven, deadline-degrading query handle.
+// NewDetectorSource prepares detection over a Source. Only lock pointers
+// need precise answers, so the analysis behind it may select just the
+// clusters holding one (see LockDemand).
 func NewDetectorSource(src Source, cfg Config) *Detector {
 	cfg.fill()
 	prog := src.Program()

@@ -37,13 +37,19 @@ const driverSrc = `
 	}
 `
 
+// coreSource serves Source straight from an analysis (PointsTo is
+// promoted).
+type coreSource struct{ *core.Analysis }
+
+func (s coreSource) Program() *ir.Program { return s.Prog }
+
 func detect(t *testing.T, src string, cfg Config) (*core.Analysis, []Race, []Access) {
 	t.Helper()
 	a, err := core.AnalyzeSource(src, core.Config{Mode: core.ModeSteensgaard, Workers: 1})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	d := NewDetector(a, cfg)
+	d := NewDetectorSource(coreSource{a}, cfg)
 	races, accesses := d.Detect()
 	return a, races, accesses
 }
@@ -209,7 +215,7 @@ func TestDemandDrivenDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDetector(a, Config{})
+	d := NewDetectorSource(coreSource{a}, Config{})
 	races, _ := d.Detect()
 	if got := racesOn(a, races, "counter"); len(got) != 0 {
 		t.Errorf("demand-driven: counter protected, got race %s", got[0].Format(a.Prog))

@@ -22,7 +22,6 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"bootstrap/internal/core"
 	"bootstrap/internal/ir"
 )
 
@@ -89,9 +88,9 @@ func (w Warning) Fingerprint(p *ir.Program) string {
 }
 
 // SortWarnings orders warnings canonically: by location, then pointer,
-// then severity (stronger last), then the uninit flag. Check and every
-// framework consumer use this exported ordering, so two runs over the
-// same snapshot render byte-identical reports.
+// then severity (stronger last), then the uninit flag. CheckSource and
+// every framework consumer use this exported ordering, so two runs over
+// the same snapshot render byte-identical reports.
 func SortWarnings(ws []Warning) {
 	sort.Slice(ws, func(i, j int) bool {
 		a, b := ws[i], ws[j]
@@ -108,29 +107,17 @@ func SortWarnings(ws []Warning) {
 	})
 }
 
-// Source is the analysis surface the checker consumes; *core.Analysis is
-// the classic provider (see Check), and the checker framework adapts its
-// deadline-scoped demand-driven handle.
+// Source is the analysis surface the checker consumes. The checker
+// framework (package check) provides it over its deadline-scoped,
+// demand-driven query handle.
 type Source interface {
 	Program() *ir.Program
 	ReachableFuncs() []ir.FuncID
 	DerefState(p ir.VarID, loc ir.Loc) (objs []ir.VarID, mayNull, mayUninit, precise bool)
 }
 
-// analysisSource adapts *core.Analysis to Source (DerefState promoted).
-type analysisSource struct{ *core.Analysis }
-
-func (s analysisSource) Program() *ir.Program { return s.Prog }
-func (s analysisSource) ReachableFuncs() []ir.FuncID {
-	return s.CallGraph.Reachable(s.Prog.Entry)
-}
-
-// Check scans every dereference site reachable from the entry function
-// and reports suspicious ones, in SortWarnings order. The analysis
-// should have been built over the same program (any clustering mode).
-func Check(a *core.Analysis) []Warning { return CheckSource(analysisSource{a}) }
-
-// CheckSource is Check over any Source.
+// CheckSource scans every dereference site reachable from the entry
+// function and reports suspicious ones, in SortWarnings order.
 func CheckSource(src Source) []Warning {
 	prog := src.Program()
 	reachable := map[ir.FuncID]bool{}
@@ -175,13 +162,4 @@ func CheckSource(src Source) []Warning {
 	}
 	SortWarnings(out)
 	return out
-}
-
-// FormatAll renders warnings one per line.
-func FormatAll(p *ir.Program, ws []Warning) string {
-	s := ""
-	for _, w := range ws {
-		s += "  " + w.Format(p) + "\n"
-	}
-	return s
 }

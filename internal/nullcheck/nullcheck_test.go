@@ -5,7 +5,26 @@ import (
 	"testing"
 
 	"bootstrap/internal/core"
+	"bootstrap/internal/ir"
 )
+
+// coreSource serves Source straight from an analysis (DerefState is
+// promoted).
+type coreSource struct{ *core.Analysis }
+
+func (s coreSource) Program() *ir.Program { return s.Prog }
+func (s coreSource) ReachableFuncs() []ir.FuncID {
+	return s.CallGraph.Reachable(s.Prog.Entry)
+}
+
+// formatAll renders warnings one per line.
+func formatAll(p *ir.Program, ws []Warning) string {
+	s := ""
+	for _, w := range ws {
+		s += "  " + w.Format(p) + "\n"
+	}
+	return s
+}
 
 func check(t *testing.T, src string) (*core.Analysis, []Warning) {
 	t.Helper()
@@ -13,7 +32,7 @@ func check(t *testing.T, src string) (*core.Analysis, []Warning) {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	return a, Check(a)
+	return a, CheckSource(coreSource{a})
 }
 
 // warningsOn filters warnings whose pointer renders as name.
@@ -38,7 +57,7 @@ func TestNullThenDeref(t *testing.T) {
 	`)
 	got := warningsOn(a, ws, "p")
 	if len(got) != 1 {
-		t.Fatalf("warnings on p = %d, want 1:\n%s", len(got), FormatAll(a.Prog, ws))
+		t.Fatalf("warnings on p = %d, want 1:\n%s", len(got), formatAll(a.Prog, ws))
 	}
 	if got[0].Severity != DefiniteNull {
 		t.Errorf("severity = %v, want definite (the store kills &a)", got[0].Severity)
@@ -55,7 +74,7 @@ func TestFlowSensitivityNoFalsePositive(t *testing.T) {
 		}
 	`)
 	if got := warningsOn(a, ws, "p"); len(got) != 0 {
-		t.Errorf("reassigned pointer is non-null at the deref; got %s", FormatAll(a.Prog, ws))
+		t.Errorf("reassigned pointer is non-null at the deref; got %s", formatAll(a.Prog, ws))
 	}
 }
 
@@ -71,7 +90,7 @@ func TestUseAfterFree(t *testing.T) {
 	`)
 	got := warningsOn(a, ws, "main.p")
 	if len(got) != 1 {
-		t.Fatalf("want exactly the post-free deref flagged; got:\n%s", FormatAll(a.Prog, ws))
+		t.Fatalf("want exactly the post-free deref flagged; got:\n%s", formatAll(a.Prog, ws))
 	}
 	if got[0].Severity != DefiniteNull {
 		t.Errorf("severity = %v, want definite", got[0].Severity)
@@ -89,7 +108,7 @@ func TestBranchMayNull(t *testing.T) {
 	`)
 	got := warningsOn(a, ws, "p")
 	if len(got) != 1 || got[0].Severity != MayBeNull {
-		t.Fatalf("want one may-null warning; got:\n%s", FormatAll(a.Prog, ws))
+		t.Fatalf("want one may-null warning; got:\n%s", formatAll(a.Prog, ws))
 	}
 	s := got[0].Format(a.Prog)
 	if !strings.Contains(s, "may dereference") && !strings.Contains(s, "may") {
@@ -106,7 +125,7 @@ func TestUninitializedDeref(t *testing.T) {
 	`)
 	got := warningsOn(a, ws, "p")
 	if len(got) != 1 {
-		t.Fatalf("want one uninit warning; got:\n%s", FormatAll(a.Prog, ws))
+		t.Fatalf("want one uninit warning; got:\n%s", formatAll(a.Prog, ws))
 	}
 	if got[0].Severity != DefiniteNull || !got[0].Uninit {
 		t.Errorf("want definite uninitialized; got %+v", got[0])
@@ -124,10 +143,10 @@ func TestStoreAndTouchSites(t *testing.T) {
 		}
 	`)
 	if len(warningsOn(a, ws, "p")) != 1 {
-		t.Errorf("store site not flagged:\n%s", FormatAll(a.Prog, ws))
+		t.Errorf("store site not flagged:\n%s", formatAll(a.Prog, ws))
 	}
 	if len(warningsOn(a, ws, "q")) != 1 {
-		t.Errorf("touch site not flagged:\n%s", FormatAll(a.Prog, ws))
+		t.Errorf("touch site not flagged:\n%s", formatAll(a.Prog, ws))
 	}
 }
 
@@ -145,7 +164,7 @@ func TestInterproceduralNull(t *testing.T) {
 	`)
 	got := warningsOn(a, ws, "g")
 	if len(got) != 1 || got[0].Severity != DefiniteNull {
-		t.Fatalf("want a definite warning through the call chain; got:\n%s", FormatAll(a.Prog, ws))
+		t.Fatalf("want a definite warning through the call chain; got:\n%s", formatAll(a.Prog, ws))
 	}
 }
 
@@ -156,7 +175,7 @@ func TestUnreachableCodeIgnored(t *testing.T) {
 		void main() { p = null; }
 	`)
 	if len(ws) != 0 {
-		t.Errorf("dereferences in unreachable functions must not be reported:\n%s", FormatAll(a.Prog, ws))
+		t.Errorf("dereferences in unreachable functions must not be reported:\n%s", formatAll(a.Prog, ws))
 	}
 }
 
@@ -176,7 +195,7 @@ func TestPathSensitivityPrunes(t *testing.T) {
 		}
 	`)
 	if got := warningsOn(a, ws, "x"); len(got) != 0 {
-		t.Errorf("deref in an infeasible arm (p must equal q) reported:\n%s", FormatAll(a.Prog, ws))
+		t.Errorf("deref in an infeasible arm (p must equal q) reported:\n%s", formatAll(a.Prog, ws))
 	}
 }
 
@@ -192,6 +211,6 @@ func TestCleanProgramIsQuiet(t *testing.T) {
 		}
 	`)
 	if len(ws) != 0 {
-		t.Errorf("clean program produced warnings:\n%s", FormatAll(a.Prog, ws))
+		t.Errorf("clean program produced warnings:\n%s", formatAll(a.Prog, ws))
 	}
 }

@@ -92,10 +92,11 @@ type VarsResponse struct {
 	Partitions [][]string `json:"partitions,omitempty"`
 }
 
-// LocksetResponse is the body of POST /v1/lockset. When the detector is
-// still running at the query's deadline, Ready is false and the caller
-// should retry; the computation continues server-side and is shared by
-// all callers of the same snapshot.
+// LocksetResponse is the body of POST /v1/lockset, a view of the
+// snapshot's memoized lockset checker run. When the run is still going
+// at the query's deadline, Ready is false and the caller should retry;
+// the run continues server-side and is shared by all callers of the
+// same snapshot, /v1/check {"pass":"lockset"} included.
 type LocksetResponse struct {
 	Ready        bool     `json:"ready"`
 	Threads      int      `json:"threads,omitempty"`

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"bootstrap/internal/check"
 	"bootstrap/internal/core"
 	"bootstrap/internal/frontend"
+	"bootstrap/internal/lockset"
+	"bootstrap/internal/obs"
 	"bootstrap/internal/synth"
 )
 
@@ -147,5 +150,109 @@ func TestCheckMemoized(t *testing.T) {
 	}
 	if len(second.Findings) != len(first.Findings) {
 		t.Fatalf("memoized findings drifted: %d vs %d", len(second.Findings), len(first.Findings))
+	}
+}
+
+// locksetMixed has one cluster of lock pointers and clusters of plain
+// int pointers the lockset pass never needs; unprot races, counter does
+// not.
+const locksetMixed = `
+	lock mtx;
+	lock *lp;
+	int counter, unprot, a, b;
+	int *cp, *dp;
+	void acquire(lock *l) { }
+	void release(lock *l) { }
+	void thread_open() {
+		lp = &mtx;
+		acquire(lp);
+		counter = 1;
+		release(lp);
+		unprot = 1;
+		cp = &a;
+	}
+	void thread_ioctl() {
+		lp = &mtx;
+		acquire(lp);
+		counter = 2;
+		release(lp);
+		unprot = 2;
+		dp = &b;
+		cp = dp;
+	}
+	void main() {
+		thread_open();
+		thread_ioctl();
+	}
+`
+
+// TestLocksetIsCheckView: /v1/lockset is a view of the memoized lockset
+// checker run. It solves only the clusters holding a lock pointer, a
+// following /v1/check for the same pass reuses the run, and the race
+// list is exactly the findings' messages.
+func TestLocksetIsCheckView(t *testing.T) {
+	m := obs.NewMetrics()
+	s := newTestServer(t, locksetMixed, func(c *Config) { c.Metrics = m })
+	runs := m.Counter("check_pass_runs_total", "Checker pass executions.")
+	before := runs.Value()
+
+	var lock LocksetResponse
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if code := do(t, s, "POST", "/v1/lockset", `{}`, &lock); code != http.StatusOK {
+			t.Fatalf("lockset: status %d", code)
+		}
+		if lock.Ready {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("lockset never became ready")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if lock.Threads != 2 || lock.Accesses == 0 || len(lock.Races) == 0 {
+		t.Errorf("lockset = %+v, want 2 threads, some accesses and races", lock)
+	}
+
+	sn := s.Snapshot()
+	lockClusters, otherClusters := 0, 0
+	for _, c := range sn.A.Clusters {
+		hasLock := false
+		for _, p := range c.Pointers {
+			hasLock = hasLock || lockset.LockDemand(sn.Prog.Var(p))
+		}
+		if hasLock {
+			lockClusters++
+		} else {
+			otherClusters++
+		}
+		if solved := sn.A.ClusterSolved(c.ID); solved != hasLock {
+			t.Errorf("cluster %d (lock pointers: %v): solved = %v", c.ID, hasLock, solved)
+		}
+	}
+	if lockClusters == 0 || otherClusters == 0 {
+		t.Fatalf("cover has %d lock and %d other clusters; want both", lockClusters, otherClusters)
+	}
+
+	var chk CheckResponse
+	if code := do(t, s, "POST", "/v1/check", `{"pass":"lockset","timeout_ms":1}`, &chk); code != http.StatusOK {
+		t.Fatalf("check: status %d", code)
+	}
+	if !chk.Ready {
+		t.Fatal("/v1/check lockset did not reuse the finished /v1/lockset run")
+	}
+	if got := runs.Value() - before; got != 1 {
+		t.Errorf("check_pass_runs_total grew by %d, want 1", got)
+	}
+	races := map[string]bool{}
+	for _, r := range lock.Races {
+		races[r] = true
+	}
+	msgs := map[string]bool{}
+	for _, f := range chk.Findings {
+		msgs[f.Message] = true
+	}
+	if !reflect.DeepEqual(races, msgs) {
+		t.Errorf("races %v != findings' messages %v", lock.Races, msgs)
 	}
 }

@@ -160,7 +160,6 @@ func (s *Server) processEdits(q []*editWaiter) {
 		Desc:      old.Desc,
 		Prog:      a.Prog,
 		A:         a,
-		lockDone:  make(chan struct{}),
 		checkRuns: map[string]*checkRun{},
 	}
 	s.snap.Store(sn)

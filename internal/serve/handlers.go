@@ -18,7 +18,7 @@ import (
 //
 //	POST /v1/mayalias   {"p":..,"q":..,"at":..}        may-alias query
 //	POST /v1/pointsto   {"p":..,"at":..}               points-to query
-//	POST /v1/lockset    {}                             race report (computed once per snapshot)
+//	POST /v1/lockset    {}                             race report: a view of the memoized lockset check
 //	POST /v1/check      {"pass":"lockset"}             run one checker pass
 //	GET  /v1/info                                      snapshot + server state
 //	GET  /v1/vars                                      query population for load drivers
@@ -269,10 +269,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, kind queryK
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleLockset serves the snapshot's race report. The heavy work
-// (solving every cluster, then the lockset fixpoint) runs once per
-// snapshot; a request whose deadline fires first gets ready=false and a
-// retry hint while the computation keeps going.
+// handleLockset serves the snapshot's race report: a view of the
+// memoized "lockset" checker run that /v1/check shares. The run solves
+// only the clusters holding a lock pointer, once per snapshot; a
+// request whose deadline fires first gets ready=false and a retry hint
+// while the run keeps going.
 func (s *Server) handleLockset(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "draining"})
@@ -292,7 +293,7 @@ func (s *Server) handleLockset(w http.ResponseWriter, r *http.Request) {
 	}
 	qctx, cancel := context.WithTimeout(r.Context(), s.queryDeadline(req.TimeoutMS))
 	defer cancel()
-	res, ready := sn.Lockset(qctx, s)
+	rep, ran, ready := sn.CheckPass(qctx, s, &check.LocksetPass{})
 	if !ready {
 		writeJSON(w, http.StatusOK, LocksetResponse{
 			Ready:        false,
@@ -301,13 +302,12 @@ func (s *Server) handleLockset(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, LocksetResponse{
-		Ready:    true,
-		Threads:  res.threads,
-		Accesses: res.accesses,
-		Races:    res.races,
-		Snapshot: sn.ID,
-	})
+	lp := ran.(*check.LocksetPass)
+	resp := LocksetResponse{Ready: true, Threads: lp.Threads, Accesses: lp.Accesses, Snapshot: sn.ID}
+	for _, d := range rep.Diagnostics() {
+		resp.Races = append(resp.Races, d.Message)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleCheck runs one named checker pass against the live snapshot —
@@ -338,7 +338,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	qctx, cancel := context.WithTimeout(r.Context(), s.queryDeadline(req.TimeoutMS))
 	defer cancel()
-	rep, ready := sn.CheckPass(qctx, s, pass)
+	rep, _, ready := sn.CheckPass(qctx, s, pass)
 	if !ready {
 		writeJSON(w, http.StatusOK, CheckResponse{
 			Ready:        false,
